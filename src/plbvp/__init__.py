@@ -43,7 +43,6 @@ from .verify import (
     VerificationReport,
     boundary_residuals,
     cone_check,
-    fractional_route,
     integral_form_residual,
     verification_report,
 )

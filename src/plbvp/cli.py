@@ -103,7 +103,7 @@ def _solution_csv(u: GridFunction) -> str:
 
 def _load_config(args) -> ProblemConfig:
     config = load_problem(args.problem)
-    if getattr(args, "panels", None):
+    if getattr(args, "panels", None) is not None:
         pb = config.problem
         disc = replace(pb.discretization, panels=args.panels)
         config = replace(config, problem=replace(pb, discretization=disc))

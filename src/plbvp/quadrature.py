@@ -1,11 +1,11 @@
 """Composite Gauss-Legendre quadrature on graded panels, and grid functions.
 
-Two families of rules live here.  ``integrate`` builds a fresh panel layout
-on [lo, hi] with polynomial grading toward one or both ends; it is the
-workhorse for integrals of closed-form integrands.  ``gridded_rule`` aligns
-panel edges with an existing partition (so piecewise interpolants are smooth
-inside every panel) and geometrically bisects the end cells, which is what
-the weakly singular kernel integrals need to reach 1e-9 territory.
+``integrate`` builds a fresh panel layout on [lo, hi] with polynomial
+grading toward one or both ends; it is the workhorse for integrals of
+closed-form integrands.  ``panel_rule`` places Gauss-Legendre points on
+given panel edges, and ``jacobi_rule`` gives the Gauss-Jacobi rule for the
+weight (1 - x)^a on [-1, 1]; together they make the product-integration
+rule of :class:`plbvp.solver.KernelAssembly`.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,8 @@ __all__ = [
     "GridFunction",
     "graded_edges",
     "gauss_rule",
-    "gridded_rule",
+    "jacobi_rule",
+    "panel_rule",
     "integrate",
     "integrate_with_estimate",
     "cumulative",
@@ -33,10 +34,6 @@ DEFAULT_POINTS = 4
 # 1e-10 uniformly over alpha in (2, 3]; exponent 2 degrades to ~2e-8 near
 # alpha = 2.1.
 DEFAULT_GRADING = 3.0
-# Number of geometric bisection levels applied to the cells that touch a
-# singular endpoint in gridded_rule().
-_BISECT_LEVELS = 26
-_EDGE_EPS = 1e-15
 
 INTERPOLATIONS = ("cubic", "linear")
 
@@ -88,7 +85,9 @@ def graded_edges(lo: float, hi: float, panels: int, grading: float = DEFAULT_GRA
     return np.concatenate([left, right[1:]])
 
 
-def _rule_from_edges(edges: np.ndarray, points: int):
+def panel_rule(edges: np.ndarray, points: int):
+    """Nodes and weights of the points-point Gauss-Legendre rule on every
+    panel [edges[k], edges[k + 1]], panel by panel."""
     x, w = _leggauss(points)
     mid = 0.5 * (edges[1:] + edges[:-1])
     hw = 0.5 * (edges[1:] - edges[:-1])
@@ -101,38 +100,30 @@ def gauss_rule(lo: float, hi: float, panels: int = DEFAULT_PANELS,
                points: int = DEFAULT_POINTS, grading: float = DEFAULT_GRADING,
                cluster: str = "both"):
     """Nodes and weights of the composite rule on [lo, hi]."""
-    return _rule_from_edges(graded_edges(lo, hi, panels, grading, cluster), points)
+    return panel_rule(graded_edges(lo, hi, panels, grading, cluster), points)
 
 
-def _bisect_cell(edges: np.ndarray, end: str, levels: int) -> np.ndarray:
-    if len(edges) < 2:
-        return edges
-    if end == "hi":
-        a, b = edges[-2], edges[-1]
-        sub = b - (b - a) * 0.5 ** np.arange(1, levels + 1)
-        return np.concatenate([edges[:-1], sub, edges[-1:]])
-    a, b = edges[0], edges[1]
-    sub = a + (b - a) * 0.5 ** np.arange(levels, 0, -1)
-    return np.concatenate([edges[:1], sub, edges[1:]])
+@lru_cache(maxsize=None)
+def jacobi_rule(points: int, a: float):
+    """Gauss-Jacobi nodes and weights for int_{-1}^{1} (1 - x)^a g(x) dx, a > -1.
 
-
-def gridded_rule(nodes: np.ndarray, lo: float, hi: float, points: int,
-                 levels: int = _BISECT_LEVELS):
-    """Composite rule on [lo, hi] whose panel edges include every partition
-    node strictly inside the interval, with the two end cells geometrically
-    bisected.
-
-    Aligning edges with the nodes keeps piecewise interpolants smooth within
-    each panel; the bisected end cells resolve kernel factors of the form
-    (edge - s)^beta with fractional beta.
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    monic Jacobi polynomials P^(a, 0), and the weights are the squared first
+    components of its eigenvectors times the weight's total mass.
     """
-    if hi <= lo:
-        return np.empty(0), np.empty(0)
-    inner = nodes[(nodes > lo + _EDGE_EPS) & (nodes < hi - _EDGE_EPS)]
-    edges = np.concatenate([[lo], inner, [hi]])
-    edges = _bisect_cell(edges, "hi", levels)
-    edges = _bisect_cell(edges, "lo", levels)
-    return _rule_from_edges(edges, points)
+    if points < 1:
+        raise ValueError("points must be >= 1")
+    if not a > -1.0:
+        raise ValueError(f"Jacobi exponent must be > -1, got {a!r}")
+    n = np.arange(1, points, dtype=float)
+    s = 2.0 * n + a
+    diag = np.concatenate([[-a / (a + 2.0)], -a * a / (s * (s + 2.0))])
+    off = 2.0 * n * (n + a) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    x, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    w = 2.0 ** (a + 1.0) / (a + 1.0) * vecs[0] ** 2
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def _sample(f, x: np.ndarray) -> np.ndarray:

@@ -5,12 +5,16 @@ The fixed-point operator maps a nonnegative grid function u to
     (A u)(t) = int_0^1 K(t, s) phi_q( int_0^s a(tau) f(tau, u(tau)) dtau ) ds.
 
 The inner integral is the running integral of the sampled density a f(., u)
-(see :func:`plbvp.quadrature.cumulative`); the outer integral is evaluated
-per output node with panels aligned to the partition and split at the kernel
-seams s = t and s = eta, so that every panel sees a smooth integrand.  The
-quadrature geometry depends only on (alpha, eta, partition) and is cached in
-:class:`KernelAssembly`, which makes repeated applications inside the Picard
-loop cheap.
+(see :func:`plbvp.quadrature.cumulative`).  The outer integral follows from
+the kernel identity
+
+    int_0^1 K(t, s) g(s) ds = C0 - I^alpha g(t),
+    C0 = I^alpha g(1) + I^(alpha-1) g(1) - I^(alpha-1) g(eta),
+
+with I^beta the Riemann-Liouville fractional integral, so the operator needs
+one quadrature of I^beta only.  :class:`KernelAssembly` holds it as a fixed
+product-integration rule on the partition, which makes repeated
+applications inside the Picard loop one matrix-vector product.
 """
 
 import math
@@ -22,12 +26,7 @@ from . import exprlang
 from .exprlang import Expr
 from .greens import KernelParams
 from .plaplacian import conjugate, phi
-from .quadrature import (
-    GridFunction,
-    Partition,
-    cumulative,
-    gridded_rule,
-)
+from .quadrature import GridFunction, Partition, cumulative, jacobi_rule, panel_rule
 
 __all__ = [
     "Discretization",
@@ -40,10 +39,14 @@ __all__ = [
     "picard_solve",
 ]
 
-# Gauss points per panel used for the weakly singular kernel integrals.
-# Four points leave the route-equivalence error near 1e-8 for alpha close
-# to 2; six points push it below 1e-10.
+# Fewest Gauss points per cell that KernelAssembly uses, whatever
+# points_per_panel says (see Discretization).
 KERNEL_MIN_POINTS = 6
+# Geometric refinement levels of the first panel toward s = 0, where
+# g = phi_q(F) behaves like s^(r (q - 1)).  For g = s^0.2 at 128 to 1024
+# panels, 8 levels leave errors up to 9e-9; 20 reach the 3e-12 floor set
+# by the other cells.
+ORIGIN_LEVELS = 20
 
 # Lattice over which (H1)-(H2) nonnegativity of f and a is checked at
 # construction time.
@@ -58,7 +61,17 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class Discretization:
-    """Partition and quadrature controls for one problem."""
+    """Partition and quadrature controls for one problem.
+
+    points_per_panel is the Gauss points per panel of the theorem checks'
+    quadratures, used as set.  The fractional-integral operator
+    (:class:`KernelAssembly`) uses max(points_per_panel, KERNEL_MIN_POINTS)
+    = max(points_per_panel, 6).  With 4 points the operator is off by 1.0e-7
+    on the random densities of the 1e-8 route-equivalence gate, all of it in
+    C0 through the (eta - s)^(alpha - 2) term.  The default stays 4 because
+    6 slows the theorem checks on ex43: lambda2 from 6 to 24 ms and
+    check_krasnoselskii from 35 to 87 ms (2-vCPU Xeon).
+    """
 
     panels: int = 256
     points_per_panel: int = 4
@@ -163,66 +176,77 @@ class SolveReport:
 
 
 class KernelAssembly:
-    """Cached quadrature of t -> int_0^1 K(t, s) g(s) ds at the partition nodes.
+    """Product-integration rule for t -> int_0^1 K(t, s) g(s) ds at the nodes.
 
-    The H part of K does not depend on t and is integrated once; the G part
-    gets one row per output node, with panel edges on the partition nodes,
-    a split at s = t and geometric refinement of the end cells.
+    Every application samples g once, at points fixed by (alpha, eta,
+    partition) and shared by all rows:
+
+    - m Gauss-Legendre points on every cell, where the cells are the
+      partition panels with the first panel split geometrically toward
+      s = 0 (ORIGIN_LEVELS levels);
+    - for each target tau, an m-point Gauss-Jacobi rule for the weight
+      (tau - s)^(beta - 1) on the last cell below tau.
+
+    The targets are the nodes t_1..t_N with beta = alpha, and t = 1 and
+    t = eta with beta = alpha - 1, which give C0.  Each target's row of the
+    weight matrix holds the Gauss weights times the kernel
+    (tau - s)^(beta - 1) / Gamma(beta) on the cells wholly below tau.
+    m is max(points, KERNEL_MIN_POINTS).
     """
 
     def __init__(self, kp: KernelParams, partition: Partition,
                  points: int = KERNEL_MIN_POINTS):
         self.kp = kp
         self.partition = partition
-        points = max(points, KERNEL_MIN_POINTS)
+        m = max(points, KERNEL_MIN_POINTS)
         nodes = partition.nodes
-        alpha, eta = kp.alpha, kp.eta
-        ga = math.gamma(alpha)
-        gam1 = math.gamma(alpha - 1.0)
+        alpha = kp.alpha
+        edges = np.concatenate([[0.0], nodes[1] * 0.5 ** np.arange(ORIGIN_LEVELS, 0, -1),
+                                nodes[1:]])
+        x, w = panel_rule(edges, m)
 
-        # t-independent H(eta, s) integral, split at the eta seam
-        h_x, h_w = [], []
-        for lo, hi in ((0.0, eta), (eta, 1.0)):
-            xs, ws = gridded_rule(nodes, lo, hi, points)
-            hv = np.where(
-                xs < eta,
-                ((1.0 - xs) ** (alpha - 2.0)
-                 - np.maximum(eta - xs, 0.0) ** (alpha - 2.0)) / gam1,
-                (1.0 - xs) ** (alpha - 2.0) / gam1,
-            )
-            h_x.append(xs)
-            h_w.append(ws * hv)
-        self._h_x = np.concatenate(h_x)
-        self._h_w = np.concatenate(h_w)
+        taus = np.concatenate([nodes[1:], [1.0, kp.eta]])
+        tail = np.searchsorted(edges, taus) - 1  # cell where [0, tau] ends
+        lo = edges[tail]
+        half = 0.5 * (taus - lo)
+        weights = taus[:, None] - x[None, :]
+        np.maximum(weights, 0.0, out=weights)
+        tail_x = np.empty((taus.size, m))
+        tail_w = np.empty((taus.size, m))
+        # rows t_1..t_N take beta = alpha, the rows for 1 and eta alpha - 1
+        for rows, beta in ((slice(None, -2), alpha), (slice(-2, None), alpha - 1.0)):
+            scale = 1.0 / math.gamma(beta)
+            block = weights[rows]
+            np.power(block, beta - 1.0, out=block)
+            block *= scale * w
+            xj, wj = jacobi_rule(m, beta - 1.0)
+            tail_x[rows] = lo[rows, None] + half[rows, None] * (1.0 + xj)
+            tail_w[rows] = scale * half[rows, None] ** beta * wj
+        # the Gauss-Jacobi rule replaces the shared points of the tail cell
+        weights[np.arange(taus.size)[:, None], tail[:, None] * m + np.arange(m)] = 0.0
+        self._weights = weights
+        self._tail_w = tail_w
+        self._points = np.concatenate([x, tail_x.ravel()])
 
-        # G(t, s) rows, one per node, split at s = t
-        xs_rows, ws_rows, bounds = [], [], [0]
-        for t in nodes:
-            row_x, row_w = [], []
-            if t > 0.0:
-                xs, ws = gridded_rule(nodes, 0.0, t, points)
-                gv = ((1.0 - xs) ** (alpha - 1.0)
-                      - np.maximum(t - xs, 0.0) ** (alpha - 1.0)) / ga
-                row_x.append(xs)
-                row_w.append(ws * gv)
-            if t < 1.0:
-                xs, ws = gridded_rule(nodes, t, 1.0, points)
-                row_x.append(xs)
-                row_w.append(ws * (1.0 - xs) ** (alpha - 1.0) / ga)
-            xs_row = np.concatenate(row_x)
-            xs_rows.append(xs_row)
-            ws_rows.append(np.concatenate(row_w))
-            bounds.append(bounds[-1] + xs_row.size)
-        self._g_x = np.concatenate(xs_rows)
-        self._g_w = np.concatenate(ws_rows)
-        self._g_offsets = np.asarray(bounds[:-1], dtype=np.intp)
+    def _integrals(self, g) -> np.ndarray:
+        """I^beta g at every target: t_1..t_N (beta = alpha), then 1 and eta
+        (beta = alpha - 1)."""
+        samples = np.asarray(g(self._points), dtype=float)
+        shared = self._weights.shape[1]
+        tails = samples[shared:].reshape(self._tail_w.shape)
+        return self._weights @ samples[:shared] + np.sum(self._tail_w * tails, axis=1)
+
+    def fractional_integral(self, g) -> np.ndarray:
+        """I^alpha g(t_i) = int_0^t_i (t_i - s)^(alpha-1) g(s) ds / Gamma(alpha)
+        at every partition node."""
+        return np.concatenate([[0.0], self._integrals(g)[:-2]])
 
     def apply_to(self, g) -> np.ndarray:
-        """Values of int_0^1 K(t_i, s) g(s) ds at every partition node."""
-        h_term = float(self._h_w @ np.asarray(g(self._h_x), dtype=float))
-        g_term = np.add.reduceat(self._g_w * np.asarray(g(self._g_x), dtype=float),
-                                 self._g_offsets)
-        return g_term + h_term
+        """Values of int_0^1 K(t_i, s) g(s) ds = C0 - I^alpha g(t_i) at every
+        partition node."""
+        rows = self._integrals(g)
+        c0 = rows[-3] + rows[-2] - rows[-1]
+        return c0 - np.concatenate([[0.0], rows[:-2]])
 
 
 def kernel_route(kp: KernelParams, q: float, h: GridFunction,

@@ -1,33 +1,33 @@
-"""Independent certification of computed solutions.
+"""Residual diagnostics for computed solutions.
 
 A true solution satisfies u(t) = u(0) - I^alpha[phi_q(F)](t) with
 F(s) = int_0^s a f(., u), where I^alpha is the fractional integral of order
-alpha.  This module re-evaluates that identity by quadrature (a route
-disjoint from the solver's kernel representation), checks the three
-boundary conditions by one-sided finite differences, and measures the
-cone inequality min_[0,rho] u >= gamma ||u||.
+alpha.  This module evaluates that identity with the solver's own
+fractional-integral quadrature (:class:`plbvp.solver.KernelAssembly`),
+checks the three boundary conditions by one-sided finite differences, and
+measures the cone inequality min_[0,rho] u >= gamma ||u||.  Because the
+integral-form residual reuses the solver's discretization, it confirms
+the fixed point of that discretization and cannot see its error.
 
 Direct numerical fractional differentiation of sampled data is deliberately
 avoided: for orders in (2, 3] it is badly conditioned, while the integral
 identity above is exact for continuous solutions.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .greens import KernelParams, cone_gamma
+from .greens import cone_gamma
 from .plaplacian import phi
-from .quadrature import GridFunction, cumulative, gridded_rule
-from .solver import KERNEL_MIN_POINTS, Problem
+from .quadrature import GridFunction, cumulative
+from .solver import KernelAssembly, Problem
 
 __all__ = [
     "VerificationReport",
     "integral_form_residual",
     "boundary_residuals",
     "cone_check",
-    "fractional_route",
     "verification_report",
     "fd_weights",
 ]
@@ -79,62 +79,14 @@ def fd_weights(x0: float, xs, m: int) -> np.ndarray:
     return c[:, m]
 
 
-def _phi_q_of_cumulative(pb_q: float, density: GridFunction):
-    F = cumulative(density)
-    return lambda s: phi(pb_q, F(s))
-
-
-def _fractional_integral_at_nodes(alpha: float, g, partition_nodes: np.ndarray,
-                                  points: int) -> np.ndarray:
-    """I^alpha[g](t_i) = 1/Gamma(alpha) int_0^t_i (t_i - s)^(alpha-1) g(s) ds."""
-    ga = math.gamma(alpha)
-    out = np.zeros_like(partition_nodes)
-    for i, t in enumerate(partition_nodes):
-        if t <= 0.0:
-            continue
-        xs, ws = gridded_rule(partition_nodes, 0.0, t, points)
-        kern = np.maximum(t - xs, 0.0) ** (alpha - 1.0) / ga
-        out[i] = float(ws @ (kern * np.asarray(g(xs), dtype=float)))
-    return out
-
-
-def fractional_route(kp: KernelParams, q: float, h: GridFunction,
-                     points: int = KERNEL_MIN_POINTS) -> GridFunction:
-    """Solution of the BVP with source density h via the fractional-integral
-    form u(t) = C0 - I^alpha[phi_q(F)](t), with C0 fixed by the three-point
-    boundary condition.
-
-    Numerically independent of the kernel representation in
-    :func:`plbvp.solver.kernel_route`; the two must agree for any
-    nonnegative density.
-    """
-    points = max(points, KERNEL_MIN_POINTS)
-    alpha, eta = kp.alpha, kp.eta
-    nodes = h.partition.nodes
-    g = _phi_q_of_cumulative(q, h)
-    ga = math.gamma(alpha)
-    gam1 = math.gamma(alpha - 1.0)
-
-    def integral(lo, hi, kern):
-        xs, ws = gridded_rule(nodes, lo, hi, points)
-        return float(ws @ (kern(xs) * np.asarray(g(xs), dtype=float)))
-
-    c0 = (
-        integral(0.0, 1.0, lambda s: (1.0 - s) ** (alpha - 1.0) / ga)
-        + integral(0.0, 1.0, lambda s: (1.0 - s) ** (alpha - 2.0) / gam1)
-        - integral(0.0, eta, lambda s: np.maximum(eta - s, 0.0) ** (alpha - 2.0) / gam1)
-    )
-    ialpha = _fractional_integral_at_nodes(alpha, g, nodes, points)
-    return h.with_values(c0 - ialpha)
-
-
 def integral_form_residual(pb: Problem, u: GridFunction) -> float:
     """Sup-norm of r(t) = u(t) - u(0) + I^alpha[phi_q(F)](t) over the nodes."""
     if float(np.min(u.values)) < -1e-12:
         raise ValueError("u must be nonnegative")
-    g = _phi_q_of_cumulative(pb.q, pb.density(u))
-    points = max(pb.discretization.points_per_panel, KERNEL_MIN_POINTS)
-    ialpha = _fractional_integral_at_nodes(pb.alpha, g, u.partition.nodes, points)
+    F = cumulative(pb.density(u))
+    assembly = KernelAssembly(pb.kernel_params, u.partition,
+                              pb.discretization.points_per_panel)
+    ialpha = assembly.fractional_integral(lambda s: phi(pb.q, F(s)))
     r = u.values - u.values[0] + ialpha
     return float(np.max(np.abs(r)))
 

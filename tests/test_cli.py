@@ -171,6 +171,12 @@ def test_solver_overrides(tmp_path, capsys, ex43_file):
     assert len(out_csv.read_text().strip().splitlines()) == 66  # header + 65 nodes
 
 
+def test_zero_panels_rejected(capsys, ex43_file):
+    code, _, err = _run(capsys, "solve", str(ex43_file), "--panels", "0")
+    assert code == 2
+    assert "panels must be >= 4" in err
+
+
 def test_verify_rejects_bad_csv(tmp_path, capsys, ex41_file):
     path = tmp_path / "bad.csv"
     path.write_text("x,y\n0,0\n", encoding="utf-8")

@@ -11,9 +11,9 @@ from plbvp.quadrature import (
     cumulative,
     gauss_rule,
     graded_edges,
-    gridded_rule,
     integrate,
     integrate_with_estimate,
+    jacobi_rule,
 )
 
 
@@ -86,12 +86,15 @@ def test_gauss_rule_weights_sum():
     assert np.all((x > 0.25) & (x < 0.75))
 
 
-def test_gridded_rule_covers_interval():
-    nodes = Partition.graded(16).nodes
-    x, w = gridded_rule(nodes, 0.2, 0.9, points=4)
-    assert np.sum(w) == pytest.approx(0.7, rel=1e-13)
-    value = float(w @ (3.0 * x**2))
-    assert value == pytest.approx(0.9**3 - 0.2**3, rel=1e-13)
+@pytest.mark.parametrize("a", [0.02, 0.5, 1.5, 2.0])
+def test_jacobi_rule_moments(a):
+    # int_{-1}^{1} (1 - x)^a (1 + x)^n dx = 2^(a+n+1) B(a+1, n+1), exact for n <= 2m - 1
+    x, w = jacobi_rule(5, a)
+    assert np.all(np.diff(x) > 0.0) and np.all(np.abs(x) < 1.0)
+    for n in range(10):
+        moment = 2.0 ** (a + n + 1) * math.gamma(a + 1) * math.gamma(n + 1) \
+            / math.gamma(a + n + 2)
+        assert float(w @ (1.0 + x) ** n) == pytest.approx(moment, rel=1e-13)
 
 
 def test_partition_validation():

@@ -6,10 +6,11 @@ import pytest
 
 from plbvp.cases import CASES
 from plbvp.exprlang import ExprEvalError, parse
-from plbvp.greens import cone_gamma, phi_envelope
+from plbvp.greens import KernelParams, cone_gamma, phi_envelope
 from plbvp.quadrature import GridFunction, Partition, integrate
 from plbvp.solver import (
     Discretization,
+    KernelAssembly,
     Problem,
     SolverError,
     apply_operator,
@@ -63,6 +64,31 @@ def test_operator_oracle_constant_density():
     expected = (b325 * (1.0 - t**4.5) / math.gamma(2.5)
                 + b315 * (1.0 - 0.5**3.5) / math.gamma(1.5))
     assert np.max(np.abs(au.values - expected)) <= 5e-9
+
+
+@pytest.mark.parametrize("alpha", [2.02, 2.5, 3.0])
+def test_fractional_integral_of_monomials(alpha):
+    # I^alpha s^k = Gamma(k+1) / Gamma(k+1+alpha) t^(k+alpha)
+    part = Partition.graded(256, 2.0)
+    assembly = KernelAssembly(KernelParams(alpha, 0.5), part, 4)
+    t = part.nodes
+    for k in range(4):
+        exact = math.gamma(k + 1) / math.gamma(k + 1 + alpha) * t ** (k + alpha)
+        ialpha = assembly.fractional_integral(lambda s: s ** k)
+        assert np.max(np.abs(ialpha - exact)) <= 1e-12
+
+
+def test_operator_samples_density_once():
+    part = Partition.graded(256, 2.0)
+    assembly = KernelAssembly(KernelParams(2.5, 0.5), part, 4)
+    calls = []
+
+    def g(s):
+        calls.append(s.size)
+        return np.ones_like(s)
+
+    assembly.apply_to(g)
+    assert len(calls) == 1 and calls[0] < 4000
 
 
 def test_operator_requires_nonnegative_iterate():

@@ -11,7 +11,6 @@ from plbvp.verify import (
     boundary_residuals,
     cone_check,
     fd_weights,
-    fractional_route,
     integral_form_residual,
     verification_report,
 )
@@ -108,12 +107,17 @@ def test_converged_ex43_certified():
 
 
 def test_residual_decays_with_resolution():
+    # on its own grid a converged solution meets the identity to rounding,
+    # since the verifier shares the solver's quadrature; on a common finer
+    # grid the residual shows the discretization error, which decays
     case = CASES["ex43"]
+    fine = replace(case.problem, discretization=Discretization(panels=512))
     residuals = []
     for panels in (64, 128, 256):
         pb = replace(case.problem, discretization=Discretization(panels=panels))
         sol = picard_solve(pb, tol=1e-12)
-        residuals.append(integral_form_residual(pb, sol.solution))
+        u = GridFunction.from_callable(fine.partition(), sol.solution)
+        residuals.append(integral_form_residual(fine, u))
     assert residuals[2] < residuals[0]
 
 
@@ -130,7 +134,7 @@ def test_cone_check_cases():
     assert slack < 0.0
 
 
-def test_route_equivalence_random_densities():
+def test_route_equivalence_random_densities(kernel_reference):
     rng = np.random.default_rng(23)
     part = Partition.graded(128, 2.0)
     worst = 0.0
@@ -138,9 +142,9 @@ def test_route_equivalence_random_densities():
         kp = KernelParams(2.0 + rng.uniform(0.05, 1.0), rng.uniform(0.1, 0.9))
         q = rng.uniform(1.2, 4.0)
         h = GridFunction(part, rng.uniform(0.0, 2.0, part.nodes.size))
-        u1 = kernel_route(kp, q, h)
-        u2 = fractional_route(kp, q, h)
-        worst = max(worst, float(np.max(np.abs(u1.values - u2.values))))
+        u = kernel_route(kp, q, h)
+        nodes, reference = kernel_reference(kp, q, h)
+        worst = max(worst, float(np.max(np.abs(u.values[nodes] - reference))))
     assert worst <= 1e-8
 
 
