@@ -18,7 +18,6 @@ from .quadrature import (
     QuadratureError,
     cumulative,
     integrate,
-    integrate_with_estimate,
 )
 from .solver import (
     Discretization,
@@ -29,7 +28,7 @@ from .solver import (
     kernel_route,
     picard_solve,
 )
-from .specialfn import beta, gamma, log_gamma
+from .specialfn import beta, gamma
 from .theorems import (
     TheoremReport,
     check_contraction_large_p,

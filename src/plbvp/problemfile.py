@@ -24,9 +24,8 @@ A problem file is a sectioned key = value text document:
     rho = 0.5
 
 Only [problem] is mandatory; omitted sections take the defaults shown.
-points_per_panel sets the Gauss points per panel of the theorem checks'
-quadratures; the solver's fractional-integral operator uses at least 6
-(see :class:`plbvp.solver.Discretization`).
+points_per_panel sets the Gauss points per cell of the solver's
+fractional-integral operator and per panel of the theorem checks.
 Lines starting with '#' or ';' are comments.  Expression values may be
 quoted or bare.  All diagnostics carry the offending line number.
 """

@@ -1,18 +1,20 @@
 """Composite Gauss-Legendre quadrature on graded panels, and grid functions.
 
 ``integrate`` builds a fresh panel layout on [lo, hi] with polynomial
-grading toward one or both ends; it is the workhorse for integrals of
+grading toward both ends; it is the workhorse for integrals of
 closed-form integrands.  ``panel_rule`` places Gauss-Legendre points on
 given panel edges, and ``jacobi_rule`` gives the Gauss-Jacobi rule for the
 weight (1 - x)^a on [-1, 1]; together they make the product-integration
-rule of :class:`plbvp.solver.KernelAssembly`.
+rule of :class:`plbvp.solver.KernelAssembly`.  The cubic rule of
+:class:`GridFunction` is a numpy Fritsch-Carlson PCHIP (SIAM J. Numer.
+Anal. 17, 1980) with the slopes of Moler's ``pchip``, and :func:`cumulative`
+is its exact integral.
 """
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "QuadratureError",
@@ -23,7 +25,6 @@ __all__ = [
     "jacobi_rule",
     "panel_rule",
     "integrate",
-    "integrate_with_estimate",
     "cumulative",
 ]
 
@@ -52,31 +53,22 @@ def _leggauss(points: int):
     return x, w
 
 
-def graded_edges(lo: float, hi: float, panels: int, grading: float = DEFAULT_GRADING,
-                 cluster: str = "both") -> np.ndarray:
-    """Panel edges on [lo, hi], clustered toward the requested end(s).
+def graded_edges(lo: float, hi: float, panels: int,
+                 grading: float = DEFAULT_GRADING) -> np.ndarray:
+    """Panel edges on [lo, hi], clustered toward both ends.
 
-    cluster is one of "none", "left", "right", "both".  With "both" the
-    interval is split at its midpoint and each half is graded toward its
-    outer end, which absorbs endpoint derivative singularities on either
-    side.
+    The interval is split at its midpoint and each half is graded toward
+    its outer end, which absorbs endpoint derivative singularities on
+    either side.
     """
     if panels < 1:
         raise ValueError("panel count must be >= 1")
     if hi < lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
-    if cluster not in ("none", "left", "right", "both"):
-        raise ValueError(f"unknown cluster mode {cluster!r}")
     if grading < 1.0:
         raise ValueError("grading exponent must be >= 1")
-    if cluster == "none" or grading == 1.0:
+    if grading == 1.0:
         return np.linspace(lo, hi, panels + 1)
-    if cluster == "right":
-        u = np.linspace(0.0, 1.0, panels + 1)
-        return lo + (hi - lo) * (1.0 - (1.0 - u) ** grading)
-    if cluster == "left":
-        u = np.linspace(0.0, 1.0, panels + 1)
-        return lo + (hi - lo) * u ** grading
     nl = max(panels // 2, 1)
     nr = max(panels - nl, 1)
     mid = 0.5 * (lo + hi)
@@ -97,10 +89,9 @@ def panel_rule(edges: np.ndarray, points: int):
 
 
 def gauss_rule(lo: float, hi: float, panels: int = DEFAULT_PANELS,
-               points: int = DEFAULT_POINTS, grading: float = DEFAULT_GRADING,
-               cluster: str = "both"):
+               points: int = DEFAULT_POINTS, grading: float = DEFAULT_GRADING):
     """Nodes and weights of the composite rule on [lo, hi]."""
-    return panel_rule(graded_edges(lo, hi, panels, grading, cluster), points)
+    return panel_rule(graded_edges(lo, hi, panels, grading), points)
 
 
 @lru_cache(maxsize=None)
@@ -139,8 +130,7 @@ def _sample(f, x: np.ndarray) -> np.ndarray:
 
 
 def integrate(f, lo: float, hi: float, panels: int = DEFAULT_PANELS,
-              points: int = DEFAULT_POINTS, grading: float = DEFAULT_GRADING,
-              cluster: str = "both") -> float:
+              points: int = DEFAULT_POINTS, grading: float = DEFAULT_GRADING) -> float:
     """Composite Gauss-Legendre integral of f over [lo, hi].
 
     f is called once with the full ndarray of sample points and must return
@@ -151,18 +141,8 @@ def integrate(f, lo: float, hi: float, panels: int = DEFAULT_PANELS,
         raise ValueError(f"empty interval [{lo}, {hi}]")
     if hi == lo:
         return 0.0
-    x, w = gauss_rule(lo, hi, panels, points, grading, cluster)
+    x, w = gauss_rule(lo, hi, panels, points, grading)
     return float(w @ _sample(f, x))
-
-
-def integrate_with_estimate(f, lo: float, hi: float, panels: int = DEFAULT_PANELS,
-                            points: int = DEFAULT_POINTS,
-                            grading: float = DEFAULT_GRADING,
-                            cluster: str = "both") -> tuple[float, float]:
-    """Integral plus the error estimate |value(panels) - value(panels // 2)|."""
-    value = integrate(f, lo, hi, panels, points, grading, cluster)
-    coarse = integrate(f, lo, hi, max(panels // 2, 1), points, grading, cluster)
-    return value, abs(value - coarse)
 
 
 @dataclass(frozen=True)
@@ -201,6 +181,39 @@ class Partition:
     def refined(self, factor: int = 2) -> "Partition":
         """Partition with factor times as many panels and the same grading law."""
         return Partition.graded(self.panels * factor, self.grading)
+
+
+def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Fritsch-Carlson node slopes: inside, the weighted harmonic mean of the
+    neighbouring secants, zero where they change sign or one vanishes; at
+    the ends, the one-sided three-point formula kept shape-preserving."""
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.zeros_like(y)
+    inner = np.sign(m[:-1]) * np.sign(m[1:]) > 0.0
+    w1 = (2.0 * h[1:] + h[:-1])[inner]
+    w2 = (h[1:] + 2.0 * h[:-1])[inner]
+    d[1:-1][inner] = 1.0 / ((w1 / m[:-1][inner] + w2 / m[1:][inner]) / (w1 + w2))
+    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+    end = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    end[np.sign(end) != np.sign(m0)] = 0.0
+    turn = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
+    end[turn] = 3.0 * m0[turn]
+    d[[0, -1]] = end
+    return d
+
+
+def _hermite(x: np.ndarray, y: np.ndarray, d: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Cubic Hermite interpolant with node values y and slopes d at xi, in
+    powers of xi - x[k]; the end cubics extend outside [x[0], x[-1]]."""
+    h = np.diff(x)
+    secant = np.diff(y) / h
+    t = (d[:-1] + d[1:] - 2.0 * secant) / h
+    c2 = (secant - d[:-1]) / h - t
+    c3 = t / h
+    k = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, h.size - 1)
+    s = xi - x[k]
+    return y[k] + d[k] * s + c2[k] * (s * s) + c3[k] * (s * s * s)
 
 
 @dataclass(frozen=True)
@@ -245,13 +258,15 @@ class GridFunction:
                             interpolation)
 
     @cached_property
-    def _interpolant(self):
-        if self.interpolation == "cubic":
-            return PchipInterpolator(self.partition.nodes, self.values)
-        return lambda x: np.interp(x, self.partition.nodes, self.values)
+    def _slopes(self) -> np.ndarray:
+        return _pchip_slopes(self.partition.nodes, self.values)
 
     def __call__(self, x):
-        out = np.asarray(self._interpolant(np.asarray(x, dtype=float)), dtype=float)
+        xi = np.asarray(x, dtype=float)
+        if self.interpolation == "cubic":
+            out = _hermite(self.partition.nodes, self.values, self._slopes, xi)
+        else:
+            out = np.interp(xi, self.partition.nodes, self.values)
         return float(out) if np.ndim(x) == 0 else out
 
     def with_values(self, values) -> "GridFunction":
@@ -265,14 +280,12 @@ def cumulative(g: GridFunction) -> GridFunction:
     """Running integral F(x) = int_0^x of the interpolant of g, at the nodes.
 
     F(0) = 0 and F is nondecreasing whenever g >= 0 (exactly so for the
-    linear rule, and by shape preservation for the cubic rule).
+    linear rule, and by shape preservation for the cubic rule).  A cubic
+    panel of width h contributes h (y0 + y1) / 2 + h^2 (d0 - d1) / 12.
     """
-    nodes = g.partition.nodes
+    h = np.diff(g.partition.nodes)
+    panel = 0.5 * (g.values[1:] + g.values[:-1]) * h
     if g.interpolation == "cubic":
-        anti = PchipInterpolator(nodes, g.values).antiderivative()
-        vals = anti(nodes) - anti(nodes[0])
-    else:
-        panel = 0.5 * (g.values[1:] + g.values[:-1]) * np.diff(nodes)
-        vals = np.concatenate([[0.0], np.cumsum(panel)])
-    vals[0] = 0.0
-    return GridFunction(g.partition, vals, g.interpolation)
+        panel += h * h * (g._slopes[:-1] - g._slopes[1:]) / 12.0
+    return GridFunction(g.partition, np.concatenate([[0.0], np.cumsum(panel)]),
+                        g.interpolation)

@@ -39,13 +39,10 @@ __all__ = [
     "picard_solve",
 ]
 
-# Fewest Gauss points per cell that KernelAssembly uses, whatever
-# points_per_panel says (see Discretization).
-KERNEL_MIN_POINTS = 6
 # Geometric refinement levels of the first panel toward s = 0, where
-# g = phi_q(F) behaves like s^(r (q - 1)).  For g = s^0.2 at 128 to 1024
-# panels, 8 levels leave errors up to 9e-9; 20 reach the 3e-12 floor set
-# by the other cells.
+# g = phi_q(F) behaves like s^(r (q - 1)), and of the cell below eta's
+# toward eta.  For g = s^0.2 at 128 to 1024 panels and 6 points, 8 levels
+# leave errors up to 8e-9; 20 reach the 5e-13 floor set by the other cells.
 ORIGIN_LEVELS = 20
 
 # Lattice over which (H1)-(H2) nonnegativity of f and a is checked at
@@ -63,14 +60,9 @@ class SolverError(RuntimeError):
 class Discretization:
     """Partition and quadrature controls for one problem.
 
-    points_per_panel is the Gauss points per panel of the theorem checks'
-    quadratures, used as set.  The fractional-integral operator
-    (:class:`KernelAssembly`) uses max(points_per_panel, KERNEL_MIN_POINTS)
-    = max(points_per_panel, 6).  With 4 points the operator is off by 1.0e-7
-    on the random densities of the 1e-8 route-equivalence gate, all of it in
-    C0 through the (eta - s)^(alpha - 2) term.  The default stays 4 because
-    6 slows the theorem checks on ex43: lambda2 from 6 to 24 ms and
-    check_krasnoselskii from 35 to 87 ms (2-vCPU Xeon).
+    points_per_panel is the Gauss points per cell of the fractional-integral
+    operator (:class:`KernelAssembly`) and per panel of the theorem checks'
+    quadratures.
     """
 
     panels: int = 256
@@ -181,9 +173,10 @@ class KernelAssembly:
     Every application samples g once, at points fixed by (alpha, eta,
     partition) and shared by all rows:
 
-    - m Gauss-Legendre points on every cell, where the cells are the
-      partition panels with the first panel split geometrically toward
-      s = 0 (ORIGIN_LEVELS levels);
+    - m = points Gauss-Legendre points on every cell, where the cells are
+      the partition panels with the first panel split geometrically toward
+      s = 0 and the cell below eta's toward eta (ORIGIN_LEVELS levels each),
+      where (eta - s)^(alpha - 2) is nearly singular if eta is just above it;
     - for each target tau, an m-point Gauss-Jacobi rule for the weight
       (tau - s)^(beta - 1) on the last cell below tau.
 
@@ -191,18 +184,18 @@ class KernelAssembly:
     t = eta with beta = alpha - 1, which give C0.  Each target's row of the
     weight matrix holds the Gauss weights times the kernel
     (tau - s)^(beta - 1) / Gamma(beta) on the cells wholly below tau.
-    m is max(points, KERNEL_MIN_POINTS).
     """
 
-    def __init__(self, kp: KernelParams, partition: Partition,
-                 points: int = KERNEL_MIN_POINTS):
+    def __init__(self, kp: KernelParams, partition: Partition, points: int = 4):
         self.kp = kp
         self.partition = partition
-        m = max(points, KERNEL_MIN_POINTS)
+        m = points
         nodes = partition.nodes
         alpha = kp.alpha
-        edges = np.concatenate([[0.0], nodes[1] * 0.5 ** np.arange(ORIGIN_LEVELS, 0, -1),
-                                nodes[1:]])
+        halves = 0.5 ** np.arange(ORIGIN_LEVELS, 0, -1)
+        edges = np.concatenate([[0.0], nodes[1] * halves, nodes[1:]])
+        k = max(int(np.searchsorted(edges, kp.eta)) - 1, 1)  # last edge below eta
+        edges = np.insert(edges, k, edges[k] - (edges[k] - edges[k - 1]) * halves[::-1])
         x, w = panel_rule(edges, m)
 
         taus = np.concatenate([nodes[1:], [1.0, kp.eta]])
@@ -250,7 +243,7 @@ class KernelAssembly:
 
 
 def kernel_route(kp: KernelParams, q: float, h: GridFunction,
-                 points: int = KERNEL_MIN_POINTS) -> GridFunction:
+                 points: int = 4) -> GridFunction:
     """Solution of the BVP with source density h via the kernel representation.
 
     Computes int_0^1 K(t, s) phi_q(F(s)) ds with F = cumulative(h) at the

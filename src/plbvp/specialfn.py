@@ -7,7 +7,7 @@ precision on (0, 50].
 
 import math
 
-__all__ = ["gamma", "log_gamma", "beta"]
+__all__ = ["gamma", "beta"]
 
 
 def _check_positive(name: str, x: float) -> float:
@@ -20,11 +20,6 @@ def _check_positive(name: str, x: float) -> float:
 def gamma(x: float) -> float:
     """Euler gamma function for x > 0."""
     return math.gamma(_check_positive("x", x))
-
-
-def log_gamma(x: float) -> float:
-    """Natural logarithm of gamma(x) for x > 0."""
-    return math.lgamma(_check_positive("x", x))
 
 
 def beta(p: float, q: float) -> float:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import plbvp
 from plbvp.cli import main
 
 
@@ -182,3 +188,14 @@ def test_verify_rejects_bad_csv(tmp_path, capsys, ex41_file):
     path.write_text("x,y\n0,0\n", encoding="utf-8")
     code, _, err = _run(capsys, "verify", str(ex41_file), "--solution", str(path))
     assert code == 2
+
+
+def test_cli_import_needs_no_scipy():
+    src = str(Path(plbvp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, plbvp.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

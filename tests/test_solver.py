@@ -78,6 +78,22 @@ def test_fractional_integral_of_monomials(alpha):
         assert np.max(np.abs(ialpha - exact)) <= 1e-12
 
 
+@pytest.mark.parametrize("alpha", [2.02, 2.2, 2.5, 3.0])
+@pytest.mark.parametrize("delta", [0.0, 1e-9, 1e-7, 1e-5, 1e-3, 0.065, 0.5, 0.999])
+def test_c0_with_eta_just_above_a_node(alpha, delta):
+    # for g = 1, C0 = 1 / Gamma(alpha + 1) + (1 - eta^(alpha - 1)) / Gamma(alpha);
+    # (eta - s)^(alpha - 2) is nearly singular on the cell below eta's when
+    # eta sits delta panels above node 64.  6 points, because at 4 the
+    # Gauss-Legendre error of the cells further down is about 1e-10.
+    part = Partition.graded(128, 2.0)
+    t = part.nodes
+    eta = t[64] + delta * (t[65] - t[64])
+    assembly = KernelAssembly(KernelParams(alpha, eta), part, 6)
+    c0 = assembly.apply_to(np.ones_like)[0]
+    exact = 1.0 / math.gamma(alpha + 1.0) + (1.0 - eta ** (alpha - 1.0)) / math.gamma(alpha)
+    assert abs(c0 - exact) <= 1e-12
+
+
 def test_operator_samples_density_once():
     part = Partition.graded(256, 2.0)
     assembly = KernelAssembly(KernelParams(2.5, 0.5), part, 4)
