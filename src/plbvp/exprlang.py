@@ -16,9 +16,19 @@ Evaluation is array-aware (scalars or numpy arrays for t and u) and total
 on valid domains: log of a nonpositive value, square root of a negative,
 division by zero and similar never produce a silent NaN but raise
 :class:`ExprEvalError` carrying the offending subexpression and sample.
+Domain checks are elementwise, so an array evaluation raises exactly when
+one of its points is invalid on its own.
+
+An expression is compiled once, on its first evaluation, into one closure
+per node; the closures live on the expression object and die with it.
+Later evaluations, such as the hundreds of scalar calls of one theorem
+check, skip the walk over the tree.  Compiling changes no result: each
+closure applies the same numpy operation to the same operands as the tree
+walk did.
 """
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -78,9 +88,17 @@ class ExprEvalError(ExprError):
 
 
 class Expr:
-    """Base class of parsed expression nodes."""
+    """Base class of parsed expression nodes.
+
+    :func:`evaluate` keeps the compiled form of the expression it evaluates
+    on the node, as ``_compiled``.  It is not a field: equality, hashing and
+    repr ignore it, and pickling and copying leave it out.
+    """
 
     __slots__ = ()
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_compiled"}
 
 
 @dataclass(frozen=True)
@@ -261,6 +279,9 @@ def variables_of(e: Expr) -> frozenset:
 
 def _witness(env: dict, mask: np.ndarray) -> dict:
     """Variable values at the first offending broadcast index."""
+    # a mask from a subexpression can have fewer dimensions than the inputs
+    mask = np.broadcast_to(mask, np.broadcast_shapes(
+        np.shape(mask), *(np.shape(v) for v in env.values() if v is not None)))
     flat = np.flatnonzero(np.atleast_1d(mask))
     if flat.size == 0:
         return {}
@@ -277,88 +298,161 @@ def _witness(env: dict, mask: np.ndarray) -> dict:
     return out
 
 
-def _check_domain(ok: np.ndarray, message: str, node: Expr, env: dict):
-    if not np.all(ok):
-        raise ExprEvalError(message, node, _witness(env, ~np.asarray(ok)))
+def _check_domain(ok, message: str, node: Expr, t, u):
+    if not ok.all():
+        raise ExprEvalError(message, node, _witness({"t": t, "u": u}, ~np.asarray(ok)))
 
 
-def _eval(e: Expr, env: dict):
+def _compile(e: Expr):
+    """Compile e into one closure per node: fn(t, u) evaluates e.
+
+    Each closure applies the same numpy operation to its children's values,
+    in the same order, as a walk of the tree would, so results are
+    bit-identical and the first domain error is the same.  Compiling, like
+    evaluating, takes one stack frame per level of the tree.
+    """
     if isinstance(e, Num):
-        return e.value
+        value = e.value
+        return lambda t, u: value
     if isinstance(e, Const):
-        return CONSTANTS[e.name]
+        value = CONSTANTS[e.name]
+        return lambda t, u: value
     if isinstance(e, Var):
-        if e.name not in env or env[e.name] is None:
-            raise ExprEvalError(f"no value supplied for variable {e.name!r}", e)
-        return env[e.name]
+        # a dict lookup, unlike ==, costs no recursion count at the leaves
+        position = {"t": 0, "u": 1}.get(e.name)
+
+        def var(t, u):
+            value = None if position is None else (t, u)[position]
+            if value is None:
+                raise ExprEvalError(f"no value supplied for variable {e.name!r}", e)
+            return value
+        return var
     if isinstance(e, Neg):
-        return -_eval(e.operand, env)
+        operand = _compile(e.operand)
+        return lambda t, u: -operand(t, u)
     if isinstance(e, Bin):
-        lhs = _eval(e.lhs, env)
-        rhs = _eval(e.rhs, env)
-        if e.op == "+":
-            return lhs + rhs
-        if e.op == "-":
-            return lhs - rhs
-        if e.op == "*":
-            return lhs * rhs
-        if e.op == "/":
-            _check_domain(np.asarray(rhs) != 0.0, "division by zero", e, env)
-            return lhs / rhs
-        return _power(lhs, rhs, e, env)
+        return _BINARY[e.op](e, _compile(e.lhs), _compile(e.rhs))
     if isinstance(e, Call):
-        args = [_eval(a, env) for a in e.args]
-        return _apply(e, args, env)
+        return _CALLS[e.fn](e, *map(_compile, e.args))
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _power(base, expo, node: Expr, env: dict):
-    base_arr = np.asarray(base, dtype=float)
-    expo_arr = np.asarray(expo, dtype=float)
-    if np.any(base_arr < 0.0) and not np.all(expo_arr == np.round(expo_arr)):
-        _check_domain(base_arr >= 0.0,
-                      "negative base with non-integer exponent", node, env)
-    _check_domain((base_arr != 0.0) | (expo_arr >= 0.0),
-                  "zero base with negative exponent", node, env)
-    return base ** expo
+def _elementwise(op):
+    """Builder of the closure applying op to one or two compiled operands."""
+    def build(node, x, y=None):
+        if y is None:
+            return lambda t, u: op(x(t, u))
+        return lambda t, u: op(x(t, u), y(t, u))
+    return build
 
 
-def _apply(node: Call, args, env: dict):
-    x = args[0]
-    if node.fn == "sin":
-        return np.sin(x)
-    if node.fn == "cos":
-        return np.cos(x)
-    if node.fn == "exp":
-        return np.exp(x)
-    if node.fn == "abs":
-        return np.abs(x)
-    if node.fn == "ln":
-        _check_domain(np.asarray(x) > 0.0, "log of a nonpositive value", node, env)
-        return np.log(x)
-    if node.fn == "sqrt":
-        _check_domain(np.asarray(x) >= 0.0, "square root of a negative value", node, env)
-        return np.sqrt(x)
-    if node.fn == "pow":
-        return _power(args[0], args[1], node, env)
-    if node.fn == "min":
-        return np.minimum(args[0], args[1])
-    return np.maximum(args[0], args[1])
+def _checked(op, test, message):
+    """Builder of the closure applying op to one operand that passes test."""
+    def build(node, x):
+        def checked(t, u):
+            v = x(t, u)
+            _check_domain(test(np.asarray(v)), message, node, t, u)
+            return op(v)
+        return checked
+    return build
+
+
+def _division(node, lhs, rhs):
+    def division(t, u):
+        a, b = lhs(t, u), rhs(t, u)
+        _check_domain(np.asarray(b) != 0.0, "division by zero", node, t, u)
+        return a / b
+    return division
+
+
+def _power(node, base, expo):
+    """base ** expo, which needs base >= 0 where expo is not an integer and
+    base != 0 where expo < 0, both tested elementwise.  An exponent without
+    variables is evaluated here, once, and decides which of the two tests
+    its base must pass."""
+    expo_value = _constant_value(expo)
+    if expo_value is None:
+        def power(t, u):
+            b, x = base(t, u), expo(t, u)
+            b_arr = np.asarray(b, dtype=float)
+            x_arr = np.asarray(x, dtype=float)
+            _check_domain(~((b_arr < 0.0) & (x_arr != np.round(x_arr))),
+                          "negative base with non-integer exponent", node, t, u)
+            _check_domain((b_arr != 0.0) | (x_arr >= 0.0),
+                          "zero base with negative exponent", node, t, u)
+            return b ** x
+        return power
+
+    integral = bool(expo_value == np.round(expo_value))
+    nonnegative = bool(expo_value >= 0.0)
+    if integral and nonnegative:
+        return lambda t, u: base(t, u) ** expo_value
+
+    def constant_power(t, u):
+        b = base(t, u)
+        if not integral:
+            _check_domain(~(np.asarray(b, dtype=float) < 0.0),
+                          "negative base with non-integer exponent", node, t, u)
+        if not nonnegative:
+            _check_domain(np.asarray(b, dtype=float) != 0.0,
+                          "zero base with negative exponent", node, t, u)
+        return b ** expo_value
+    return constant_power
+
+
+def _constant_value(fn):
+    """Value of the compiled fn if it evaluates cleanly without t and u;
+    else None, and fn raises again, with its witness, on every evaluation.
+    Every variable of an expression is evaluated, so one with variables
+    always raises here."""
+    try:
+        return fn(None, None)
+    except (ExprEvalError, ArithmeticError):
+        return None
+
+
+_BINARY = {
+    "+": _elementwise(operator.add),
+    "-": _elementwise(operator.sub),
+    "*": _elementwise(operator.mul),
+    "/": _division,
+    "^": _power,
+}
+
+_CALLS = {
+    "sin": _elementwise(np.sin),
+    "cos": _elementwise(np.cos),
+    "exp": _elementwise(np.exp),
+    "abs": _elementwise(np.abs),
+    "ln": _checked(np.log, lambda x: x > 0.0, "log of a nonpositive value"),
+    "sqrt": _checked(np.sqrt, lambda x: x >= 0.0, "square root of a negative value"),
+    "pow": _power,
+    "min": _elementwise(np.minimum),
+    "max": _elementwise(np.maximum),
+}
 
 
 def evaluate(e: Expr, t=None, u=None):
-    """Evaluate an expression at t and/or u (scalars or numpy arrays)."""
-    env = {"t": t, "u": u}
+    """Evaluate an expression at t and/or u (scalars or numpy arrays).
+
+    The first evaluation compiles e (see :func:`_compile`) and keeps the
+    compiled form on e itself, so later evaluations skip the tree walk and
+    the form is freed with e.
+    """
     # domain checks preempt divide/invalid; overflow to inf is converted to
     # an ExprEvalError below, so keep numpy quiet in between
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        value = _eval(e, env)
+        fn = getattr(e, "_compiled", None)
+        if fn is None:
+            fn = _compile(e)
+            object.__setattr__(e, "_compiled", fn)
+        value = fn(t, u)
     arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    finite = np.isfinite(arr)
+    if not finite.all():
         raise ExprEvalError("evaluation produced a non-finite value", e,
-                            _witness(env, ~np.isfinite(arr)))
-    scalar_inputs = all(v is None or np.ndim(v) == 0 for v in env.values())
-    return float(arr) if (scalar_inputs and arr.ndim == 0) else arr
+                            _witness({"t": t, "u": u}, ~finite))
+    return float(arr) if (arr.ndim == 0 and np.ndim(t) == 0 and np.ndim(u) == 0) else arr
 
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5

@@ -10,6 +10,12 @@ Sampling makes these semi-decisions: a violated inequality is certified
 exactly by its witness point, while a satisfied one is certified only up to
 the lattice density (201 x 201 plus golden-section refinement around the
 extremal cell).  Reports record the lattice used.
+
+The refinement alternates golden-section searches in t and in u for up to
+three rounds, and stops after a round that improves neither coordinate of
+the maximiser.  The stop is exact: a round's searches depend only on the
+maximiser and the value found so far, so the round after an unchanged one
+would repeat it call for call and change nothing either.
 """
 
 import math
@@ -104,7 +110,13 @@ def _eval_f(pb: Problem, t, u):
 
 
 def _envelope_integral(pb: Problem) -> float:
-    """Quadrature of the kernel envelope, cross-checked against its closed form."""
+    """int_0^1 Phi = (alpha + 1) / Gamma(alpha + 1), the closed form, once a
+    quadrature of the kernel envelope agrees with it.
+
+    The closed form is returned because the quadrature is not exact: for
+    alpha near 2, (1 - s)^(alpha - 2) is nearly singular at s = 1 and the
+    quadrature is off by up to about 1e-9 relative.
+    """
     kp = pb.kernel_params
     d = pb.discretization
     value = integrate(lambda s: phi_envelope(kp, s), 0.0, 1.0,
@@ -113,7 +125,7 @@ def _envelope_integral(pb: Problem) -> float:
     if abs(value - closed) > 1e-7 * closed:
         raise ArithmeticError(
             f"envelope quadrature {value!r} disagrees with closed form {closed!r}")
-    return value
+    return closed
 
 
 def lambda1(pb: Problem) -> float:
@@ -165,7 +177,13 @@ def _golden_max_1d(fn, lo: float, hi: float, iters: int = 60):
 def box_maximum(fn, t_range, u_range, lattice: int = LATTICE):
     """Max of fn(t, u) over a box: dense lattice plus golden refinement.
 
-    fn must accept numpy arrays.  Returns (value, (t, u)).
+    fn must accept numpy arrays and be deterministic.  Returns (value, (t, u)).
+
+    Each of up to three rounds searches t on the lattice cells either side
+    of the best point, at its u, and then u at its t.  A round that improves
+    neither leaves the next round the same inputs, so the next round would
+    find nothing either: the loop stops there, with the result three
+    rounds would give.
     """
     t_lo, t_hi = t_range
     u_lo, u_hi = u_range
@@ -179,18 +197,22 @@ def box_maximum(fn, t_range, u_range, lattice: int = LATTICE):
     dt = (t_hi - t_lo) / (lattice - 1) if t_hi > t_lo else 0.0
     du = (u_hi - u_lo) / (lattice - 1) if u_hi > u_lo else 0.0
     for _ in range(3):
+        moved = False
         if dt > 0.0:
             lo, hi = max(t_lo, best_t - dt), min(t_hi, best_t + dt)
             x, v = _golden_max_1d(lambda t: float(fn(np.asarray(t), np.asarray(best_u))),
                                   lo, hi)
             if v > best:
-                best_t, best = x, v
+                best_t, best, moved = x, v, True
         if du > 0.0:
             lo, hi = max(u_lo, best_u - du), min(u_hi, best_u + du)
             x, v = _golden_max_1d(lambda u: float(fn(np.asarray(best_t), np.asarray(u))),
                                   lo, hi)
             if v > best:
-                best_u, best = x, v
+                best_u, best, moved = x, v, True
+        if not moved:
+            # the next round would repeat this one's searches exactly
+            break
     return best, (float(best_t), float(best_u))
 
 

@@ -1,4 +1,9 @@
+import copy
+import gc
 import math
+import operator
+import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -181,3 +186,165 @@ expr_trees = st.recursive(_leaf, _nodes, max_leaves=25)
 @given(tree=expr_trees)
 def test_print_parse_round_trip(tree):
     assert parse(to_text(tree)) == tree
+
+
+
+# --- compiled evaluation -------------------------------------------------
+
+_WALK_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+             "/": operator.truediv, "sin": np.sin, "cos": np.cos, "exp": np.exp,
+             "abs": np.abs, "ln": np.log, "sqrt": np.sqrt, "min": np.minimum,
+             "max": np.maximum}
+
+
+def _walk(e, env):
+    """Reference evaluator: a plain walk of the tree, with the operations and
+    elementwise domain checks ``evaluate`` promises, and no compilation."""
+    def check(ok, message):
+        if not np.all(ok):
+            raise ExprEvalError(message, e, exprlang._witness(env, ~np.asarray(ok)))
+
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Const):
+        return exprlang.CONSTANTS[e.name]
+    if isinstance(e, Var):
+        if env.get(e.name) is None:
+            raise ExprEvalError(f"no value supplied for variable {e.name!r}", e)
+        return env[e.name]
+    if isinstance(e, Neg):
+        return -_walk(e.operand, env)
+    op, args = (e.op, (e.lhs, e.rhs)) if isinstance(e, Bin) else (e.fn, e.args)
+    values = [_walk(a, env) for a in args]
+    if op in ("^", "pow"):
+        base, expo = (np.asarray(v, dtype=float) for v in values)
+        check(~((base < 0.0) & (expo != np.round(expo))), "negative base with non-integer exponent")
+        check((base != 0.0) | (expo >= 0.0), "zero base with negative exponent")
+        return values[0] ** values[1]
+    if op == "/":
+        check(np.asarray(values[1]) != 0.0, "division by zero")
+    elif op == "ln":
+        check(np.asarray(values[0]) > 0.0, "log of a nonpositive value")
+    elif op == "sqrt":
+        check(np.asarray(values[0]) >= 0.0, "square root of a negative value")
+    return _WALK_OPS[op](*values)
+
+
+def _outcome(fn):
+    try:
+        with np.errstate(all="ignore"):
+            return "value", fn()
+    except (ExprEvalError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _walk_evaluate(e, t=None, u=None):
+    env = {"t": t, "u": u}
+    with np.errstate(all="ignore"):
+        arr = np.asarray(_walk(e, env), dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ExprEvalError("evaluation produced a non-finite value", e,
+                            exprlang._witness(env, ~np.isfinite(arr)))
+    return float(arr) if np.ndim(t) == 0 and np.ndim(u) == 0 and arr.ndim == 0 else arr
+
+
+_SAMPLE_T = np.array([0.0, 0.3, 1.0, -0.5, 2.0])
+_SAMPLE_U = np.array([0.0, 1.7, -2.0, 0.5, 3.0])
+
+
+@given(tree=expr_trees)
+def test_compiled_evaluation_matches_tree_walk(tree):
+    # bit for bit, or the same error with the same witness; on arrays, on
+    # scalars, and again once the compiled form is cached on the tree
+    for t, u in [(_SAMPLE_T, _SAMPLE_U), *zip(_SAMPLE_T.tolist(), _SAMPLE_U.tolist())]:
+        want = _outcome(lambda: _walk_evaluate(tree, t=t, u=u))
+        for _ in range(2):
+            got = _outcome(lambda: evaluate(tree, t=t, u=u))
+            assert got[0] == want[0]
+            if got[0] == "value":
+                assert type(got[1]) is type(want[1])
+                np.testing.assert_array_equal(got[1], want[1], strict=True)
+            else:
+                assert got[1] == want[1]
+
+
+def test_array_domain_checks_are_elementwise():
+    e = parse("pow(t - 0.5, u) + (t - 0.5)^u")
+    ts, us = np.array([0.0, 1.0, 0.2]), np.array([2.0, 0.5, -3.0])
+    vec = evaluate(e, t=ts, u=us)
+    # each point is valid on its own: a negative base only meets integers
+    assert vec.tolist() == [evaluate(e, t=t, u=u) for t, u in zip(ts.tolist(), us.tolist())]
+    with pytest.raises(ExprEvalError) as err:
+        evaluate(e, t=np.array([1.0, 0.0]), u=np.array([0.5, 0.5]))
+    assert err.value.sample == {"t": 0.0, "u": 0.5}
+    assert "negative base with non-integer exponent in 'pow(t - 0.5, u)'" in str(err.value)
+
+
+def test_domain_error_under_min_max_still_raises():
+    for text, sub in (("max(ln(t), 1)", "ln(t)"), ("min(sqrt(t - 1), 0)", "sqrt(t - 1.0)")):
+        with pytest.raises(ExprEvalError) as err:
+            evaluate(parse(text), t=0.0)
+        assert to_text(err.value.subexpr) == sub
+        assert err.value.sample == {"t": 0.0}
+
+
+@pytest.mark.parametrize("text, bad, message", [
+    ("1/(t - u)", (0.5, 0.5), "division by zero in '1.0/(t - u)' at t=0.5, u=0.5"),
+    ("ln(u) + t", (1.0, 0.0), "log of a nonpositive value in 'ln(u)' at t=1.0, u=0.0"),
+    ("sqrt(t - 1)*u", (0.5, 1.0),
+     "square root of a negative value in 'sqrt(t - 1.0)' at t=0.5, u=1.0"),
+    ("t^0.5 + u", (-1.0, 1.0),
+     "negative base with non-integer exponent in 't^0.5' at t=-1.0, u=1.0"),
+    ("t^-2 + u", (0.0, 1.0), "zero base with negative exponent in 't^(-2.0)' at t=0.0, u=1.0"),
+    ("t^u", (-1.0, 0.5), "negative base with non-integer exponent in 't^u' at t=-1.0, u=0.5"),
+    ("pow(t, u)", (0.0, -1.0),
+     "zero base with negative exponent in 'pow(t, u)' at t=0.0, u=-1.0"),
+    ("exp(u) - t", (1.0, 1e4),
+     "evaluation produced a non-finite value in 'exp(u) - t' at t=1.0, u=10000.0"),
+    ("max(ln(t), u)", (0.0, 1.0), "log of a nonpositive value in 'ln(t)' at t=0.0, u=1.0"),
+    # sin(inf) is NaN, which is not a negative base: the power passes it on
+    ("sin(exp(u))^0.5 + t", (1.0, 1e3),
+     "evaluation produced a non-finite value in 'sin(exp(u))^0.5 + t' at t=1.0, u=1000.0"),
+    ("pow(sin(exp(u)), t)", (0.5, 1e3),
+     "evaluation produced a non-finite value in 'pow(sin(exp(u)), t)' at t=0.5, u=1000.0"),
+])
+def test_domain_error_same_for_scalar_0d_and_array_inputs(text, bad, message):
+    e = parse(text)
+    good = (2.0, 3.0)
+    inputs = (bad, tuple(np.asarray(v) for v in bad),
+              tuple(np.array([g, b, b]) for g, b in zip(good, bad)))
+    for t, u in inputs:
+        with pytest.raises(ExprEvalError) as err:
+            evaluate(e, t=t, u=u)
+        assert str(err.value) == message
+        assert err.value.sample == dict(zip("tu", bad))
+
+
+def test_compiled_form_dies_with_expression():
+    e = parse("exp(-t)*sin(u)^2 + max(t, u)/2")
+    assert evaluate(e, t=0.5, u=1.0) == evaluate(e, t=0.5, u=1.0)
+    ref = weakref.ref(e)
+    del e
+    gc.collect()
+    assert ref() is None
+
+
+def test_evaluated_expression_pickles_and_copies():
+    e = parse("0.5*t*ln(u+1)")
+    value = evaluate(e, t=0.5, u=1.0)
+    for clone in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+        assert clone == e and hash(clone) == hash(e)
+        assert evaluate(clone, t=0.5, u=1.0) == value
+
+
+def test_witness_of_a_subexpression_narrower_than_the_inputs():
+    with pytest.raises(ExprEvalError) as err:
+        evaluate(parse("ln(t - 2) + u"), t=0.5, u=np.array([1.0, 2.0]))
+    assert err.value.sample == {"t": 0.5, "u": 1.0}
+
+
+def test_long_sum_evaluates():
+    # the parser builds a left-deep tree, one level per term; compiling and
+    # evaluating take one stack frame per level, as the tree walk did
+    e = parse(" + ".join(["u*t"] * 800))
+    assert evaluate(e, t=0.5, u=2.0) == 800.0

@@ -8,6 +8,7 @@ from plbvp.exprlang import parse
 from plbvp.solver import Discretization, Problem, picard_solve
 from plbvp.specialfn import gamma
 from plbvp.theorems import (
+    _golden_max_1d,
     box_maximum,
     box_minimum,
     check_contraction_large_p,
@@ -35,6 +36,15 @@ def test_lambda1_constant_coefficient():
     # a == 1, p = 2, alpha = 3: Lambda_1 = Gamma(4) / 4 = 3/2
     value = lambda1(_problem(alpha=3.0, p=2.0))
     assert value == pytest.approx(1.5, rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [2.02, 2.05, 2.1, 2.5])
+def test_lambda1_exact_for_alpha_near_two(alpha):
+    # a == 1: Lambda_1 = 1 / int_0^1 Phi = Gamma(alpha + 1) / (alpha + 1);
+    # quadrature of Phi, with (1 - s)^(alpha - 2) nearly singular at s = 1,
+    # was about 1e-9 off here
+    value = lambda1(_problem(alpha=alpha, p=1.2))
+    assert value == pytest.approx(math.gamma(alpha + 1.0) / (alpha + 1.0), rel=1e-13)
 
 
 def test_lambda1_scaling_homogeneity():
@@ -83,6 +93,70 @@ def test_box_extrema_interior_refinement():
                             (0.0, 1.0), (0.0, 1.0))
     assert value == pytest.approx(1.0, abs=1e-8)
     assert at[0] == pytest.approx(0.5, abs=1e-4)
+
+
+def _three_round_box_maximum(fn, t_range, u_range, lattice=201):
+    """box_maximum as it was before its refinement loop could stop early:
+    always three rounds of golden-section search."""
+    t_lo, t_hi = t_range
+    u_lo, u_hi = u_range
+    ts = np.linspace(t_lo, t_hi, lattice)
+    us = np.linspace(u_lo, u_hi, lattice)
+    tg, ug = np.meshgrid(ts, us, indexing="ij")
+    vals = np.broadcast_to(np.asarray(fn(tg, ug), float), tg.shape)
+    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    best_t, best_u, best = ts[i], us[j], float(vals[i, j])
+    dt = (t_hi - t_lo) / (lattice - 1) if t_hi > t_lo else 0.0
+    du = (u_hi - u_lo) / (lattice - 1) if u_hi > u_lo else 0.0
+    for _ in range(3):
+        if dt > 0.0:
+            lo, hi = max(t_lo, best_t - dt), min(t_hi, best_t + dt)
+            x, v = _golden_max_1d(lambda t: float(fn(np.asarray(t), np.asarray(best_u))),
+                                  lo, hi)
+            if v > best:
+                best_t, best = x, v
+        if du > 0.0:
+            lo, hi = max(u_lo, best_u - du), min(u_hi, best_u + du)
+            x, v = _golden_max_1d(lambda u: float(fn(np.asarray(best_t), np.asarray(u))),
+                                  lo, hi)
+            if v > best:
+                best_u, best = x, v
+    return best, (float(best_t), float(best_u))
+
+
+_BOX_CASES = {
+    "corner": lambda t, u: t + u,
+    "interior": lambda t, u: np.sin(np.pi * t) * np.sin(np.pi * u),
+    "mixed": lambda t, u: np.exp(-t) * np.cos(3.0 * u) + 0.3 * t * u,
+    # a ridge along t = u: every round of the coordinate search moves
+    "ridge": lambda t, u: -10.0 * (t - u) ** 2 - (t + u - 1.3) ** 2,
+}
+
+
+@pytest.mark.parametrize("lattice", [201, 11])
+@pytest.mark.parametrize("case", sorted(_BOX_CASES))
+def test_box_extrema_equal_three_round_search(case, lattice):
+    fn = _BOX_CASES[case]
+    box = ((0.0, 1.0), (0.0, 2.0))
+    assert box_maximum(fn, *box, lattice=lattice) == \
+        _three_round_box_maximum(fn, *box, lattice=lattice)
+    neg = lambda t, u: -np.asarray(fn(t, u), float)
+    value, at = _three_round_box_maximum(neg, *box, lattice=lattice)
+    assert box_minimum(fn, *box, lattice=lattice) == (-value, at)
+
+
+def test_box_refinement_stops_after_a_round_without_moves():
+    calls = []
+
+    def fn(t, u):
+        calls.append(np.shape(t))
+        return t + u
+
+    box_maximum(fn, (0.0, 1.0), (0.0, 2.0))
+    # one lattice call, then one round of two 62-call golden searches
+    assert calls[0] == (201, 201)
+    assert len(calls) - 1 <= 124
+    assert all(shape == () for shape in calls[1:])
 
 
 def test_box_extrema_bracketed_under_refinement():
