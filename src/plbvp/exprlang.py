@@ -380,13 +380,13 @@ def _power(node, base, expo):
                           "negative base with non-integer exponent", node, t, u)
             _check_domain((b_arr != 0.0) | (x_arr >= 0.0),
                           "zero base with negative exponent", node, t, u)
-            return b ** x
+            return _pow(b, x)
         return power
 
     integral = bool(expo_value == np.round(expo_value))
     nonnegative = bool(expo_value >= 0.0)
     if integral and nonnegative:
-        return lambda t, u: base(t, u) ** expo_value
+        return lambda t, u: _pow(base(t, u), expo_value)
 
     def constant_power(t, u):
         b = base(t, u)
@@ -396,8 +396,18 @@ def _power(node, base, expo):
         if not nonnegative:
             _check_domain(np.asarray(b, dtype=float) != 0.0,
                           "zero base with negative exponent", node, t, u)
-        return b ** expo_value
+        return _pow(b, expo_value)
     return constant_power
+
+
+def _pow(b, x):
+    """b ** x, overflowing to +-inf as numpy does.  Where both are Python
+    floats (constants, or scalar inputs) Python raises OverflowError
+    instead, which would escape the non-finite check of :func:`evaluate`."""
+    try:
+        return b ** x
+    except OverflowError:
+        return np.power(b, x)
 
 
 def _constant_value(fn):

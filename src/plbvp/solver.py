@@ -13,8 +13,11 @@ the kernel identity
 
 with I^beta the Riemann-Liouville fractional integral, so the operator needs
 one quadrature of I^beta only.  :class:`KernelAssembly` holds it as a fixed
-product-integration rule on the partition, which makes repeated
-applications inside the Picard loop one matrix-vector product.
+product-integration rule on the partition, which makes each application a
+matrix-vector product with the lower part of the weight matrix, stored in
+blocks of rows.  A :class:`Problem` builds the rule once per partition
+(:meth:`Problem.assembly`) and shares it between the Picard loop, every
+:func:`apply_operator` call and the verifier.
 """
 
 import math
@@ -44,6 +47,11 @@ __all__ = [
 # toward eta.  For g = s^0.2 at 128 to 1024 panels and 6 points, 8 levels
 # leave errors up to 8e-9; 20 reach the 5e-13 floor set by the other cells.
 ORIGIN_LEVELS = 20
+
+# Rows per stored block of KernelAssembly's weights, a multiple of 4 (see
+# there).  Blocks of 16 and 64 rows build and apply as fast at 128 to 1024
+# panels.
+BLOCK_ROWS = 32
 
 # Lattice over which (H1)-(H2) nonnegativity of f and a is checked at
 # construction time.
@@ -141,6 +149,25 @@ class Problem:
     def partition(self) -> Partition:
         return self.discretization.partition()
 
+    def assembly(self, partition: Partition) -> "KernelAssembly":
+        """The fractional-integral rule of this problem on partition.
+
+        It is built on first use and kept on the problem, keyed by the
+        partition's nodes, so that the solve, every operator application and
+        the verification on one partition share one rule; only the latest
+        rule is kept.  ``_assembly`` is not a field: equality, hashing and
+        repr ignore it, and pickling and copying leave it out.
+        """
+        rule = self.__dict__.get("_assembly")
+        if rule is None or not np.array_equal(rule.partition.nodes, partition.nodes):
+            rule = KernelAssembly(self.kernel_params, partition,
+                                  self.discretization.points_per_panel)
+            object.__setattr__(self, "_assembly", rule)
+        return rule
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_assembly"}
+
     def density(self, u: GridFunction) -> GridFunction:
         """Sample a(t) f(t, u(t)) at the partition nodes."""
         ts = u.partition.nodes
@@ -183,7 +210,11 @@ class KernelAssembly:
     The targets are the nodes t_1..t_N with beta = alpha, and t = 1 and
     t = eta with beta = alpha - 1, which give C0.  Each target's row of the
     weight matrix holds the Gauss weights times the kernel
-    (tau - s)^(beta - 1) / Gamma(beta) on the cells wholly below tau.
+    (tau - s)^(beta - 1) / Gamma(beta) on the cells wholly below tau, and
+    zeros right of them.  Only the lower part is stored, about half of the
+    matrix: blocks of BLOCK_ROWS consecutive rows, each with the columns left
+    of its last tail cell.  :meth:`Problem.assembly` builds one rule per
+    problem and partition and reuses it.
     """
 
     def __init__(self, kp: KernelParams, partition: Partition, points: int = 4):
@@ -202,22 +233,39 @@ class KernelAssembly:
         tail = np.searchsorted(edges, taus) - 1  # cell where [0, tau] ends
         lo = edges[tail]
         half = 0.5 * (taus - lo)
-        weights = taus[:, None] - x[None, :]
-        np.maximum(weights, 0.0, out=weights)
         tail_x = np.empty((taus.size, m))
         tail_w = np.empty((taus.size, m))
         # rows t_1..t_N take beta = alpha, the rows for 1 and eta alpha - 1
         for rows, beta in ((slice(None, -2), alpha), (slice(-2, None), alpha - 1.0)):
             scale = 1.0 / math.gamma(beta)
-            block = weights[rows]
-            np.power(block, beta - 1.0, out=block)
-            block *= scale * w
             xj, wj = jacobi_rule(m, beta - 1.0)
             tail_x[rows] = lo[rows, None] + half[rows, None] * (1.0 + xj)
             tail_w[rows] = scale * half[rows, None] ** beta * wj
-        # the Gauss-Jacobi rule replaces the shared points of the tail cell
-        weights[np.arange(taus.size)[:, None], tail[:, None] * m + np.arange(m)] = 0.0
-        self._weights = weights
+        # The last block also takes the C0 rows and a one-row remainder, and
+        # every block has a multiple of 4 columns.  Then each row's products
+        # are summed in the order of one product with the whole matrix, so
+        # blocking changes no bit of the result: OpenBLAS takes rows and
+        # columns in fours, and numpy multiplies a one-row matrix as a dot
+        # product.
+        blocks = []
+        for r0 in range(0, taus.size - 1, BLOCK_ROWS):
+            r1 = r0 + BLOCK_ROWS if r0 + BLOCK_ROWS < taus.size - 1 else taus.size
+            cols = min(-(-m * int(tail[r0:r1].max()) // 4) * 4, x.size)
+            block = taus[r0:r1, None] - x[None, :cols]
+            np.maximum(block, 0.0, out=block)
+            split = max(min(taus.size - 2, r1) - r0, 0)  # node rows come first
+            for part, beta in ((block[:split], alpha), (block[split:], alpha - 1.0)):
+                scale = 1.0 / math.gamma(beta)
+                np.power(part, beta - 1.0, out=part)
+                part *= scale * w[:cols]
+            # the Gauss-Jacobi rule replaces the shared points of a row's
+            # tail cell, as far as the block stores it
+            cells = m * tail[r0:r1, None] + np.arange(m)
+            i, j = np.nonzero(cells < cols)
+            block[i, cells[i, j]] = 0.0
+            blocks.append(block)
+        self._blocks = blocks
+        self._shared = x.size
         self._tail_w = tail_w
         self._points = np.concatenate([x, tail_x.ravel()])
 
@@ -225,9 +273,10 @@ class KernelAssembly:
         """I^beta g at every target: t_1..t_N (beta = alpha), then 1 and eta
         (beta = alpha - 1)."""
         samples = np.asarray(g(self._points), dtype=float)
-        shared = self._weights.shape[1]
-        tails = samples[shared:].reshape(self._tail_w.shape)
-        return self._weights @ samples[:shared] + np.sum(self._tail_w * tails, axis=1)
+        shared = samples[:self._shared]
+        tails = samples[self._shared:].reshape(self._tail_w.shape)
+        rows = np.concatenate([b @ shared[:b.shape[1]] for b in self._blocks])
+        return rows + np.sum(self._tail_w * tails, axis=1)
 
     def fractional_integral(self, g) -> np.ndarray:
         """I^alpha g(t_i) = int_0^t_i (t_i - s)^(alpha-1) g(s) ds / Gamma(alpha)
@@ -242,6 +291,13 @@ class KernelAssembly:
         return c0 - np.concatenate([[0.0], rows[:-2]])
 
 
+def _integral_operator(assembly: KernelAssembly, q: float,
+                       h: GridFunction) -> GridFunction:
+    """int_0^1 K(t, s) phi_q(F(s)) ds at the nodes of h, F = cumulative(h)."""
+    F = cumulative(h)
+    return h.with_values(assembly.apply_to(lambda s: phi(q, F(s))))
+
+
 def kernel_route(kp: KernelParams, q: float, h: GridFunction,
                  points: int = 4) -> GridFunction:
     """Solution of the BVP with source density h via the kernel representation.
@@ -249,10 +305,7 @@ def kernel_route(kp: KernelParams, q: float, h: GridFunction,
     Computes int_0^1 K(t, s) phi_q(F(s)) ds with F = cumulative(h) at the
     partition nodes of h.
     """
-    F = cumulative(h)
-    assembly = KernelAssembly(kp, h.partition, points)
-    values = assembly.apply_to(lambda s: phi(q, F(s)))
-    return h.with_values(values)
+    return _integral_operator(KernelAssembly(kp, h.partition, points), q, h)
 
 
 def apply_operator(pb: Problem, u: GridFunction) -> GridFunction:
@@ -261,8 +314,7 @@ def apply_operator(pb: Problem, u: GridFunction) -> GridFunction:
         raise SolverError(
             f"iterate is negative (min {float(np.min(u.values))}); "
             "the operator is only defined on the nonnegative cone")
-    return kernel_route(pb.kernel_params, pb.q, pb.density(u),
-                        points=pb.discretization.points_per_panel)
+    return _integral_operator(pb.assembly(u.partition), pb.q, pb.density(u))
 
 
 def picard_solve(pb: Problem, u0: GridFunction | None = None, tol: float = 1e-10,
@@ -289,18 +341,10 @@ def picard_solve(pb: Problem, u0: GridFunction | None = None, tol: float = 1e-10
     if float(np.min(u0.values)) < NEGATIVITY_SLACK:
         raise SolverError("u0 must be nonnegative")
 
-    kp = pb.kernel_params
-    q = pb.q
-    assembly = KernelAssembly(kp, u0.partition, pb.discretization.points_per_panel)
-
-    def apply_a(grid: GridFunction) -> GridFunction:
-        F = cumulative(pb.density(grid))
-        return grid.with_values(assembly.apply_to(lambda s: phi(q, F(s))))
-
     omega = damping
     diffs: list[float] = []
     u = u0
-    au = apply_a(u)
+    au = apply_operator(pb, u)
     residual = float(np.max(np.abs(au.values - u.values)))
     converged = False
     iterations = 0
@@ -313,7 +357,7 @@ def picard_solve(pb: Problem, u0: GridFunction | None = None, tol: float = 1e-10
         new = u.with_values(np.maximum(new_values, 0.0))
         gap = float(np.max(np.abs(new.values - u.values)))
         diffs.append(gap)
-        au_new = apply_a(new)
+        au_new = apply_operator(pb, new)
         res_new = float(np.max(np.abs(au_new.values - new.values)))
         u, au, residual = new, au_new, res_new
         if gap <= tol and res_new <= tol:

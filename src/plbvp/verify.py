@@ -21,7 +21,7 @@ import numpy as np
 from .greens import cone_gamma
 from .plaplacian import phi
 from .quadrature import GridFunction, cumulative
-from .solver import KernelAssembly, Problem
+from .solver import Problem
 
 __all__ = [
     "VerificationReport",
@@ -84,9 +84,7 @@ def integral_form_residual(pb: Problem, u: GridFunction) -> float:
     if float(np.min(u.values)) < -1e-12:
         raise ValueError("u must be nonnegative")
     F = cumulative(pb.density(u))
-    assembly = KernelAssembly(pb.kernel_params, u.partition,
-                              pb.discretization.points_per_panel)
-    ialpha = assembly.fractional_integral(lambda s: phi(pb.q, F(s)))
+    ialpha = pb.assembly(u.partition).fractional_integral(lambda s: phi(pb.q, F(s)))
     r = u.values - u.values[0] + ialpha
     return float(np.max(np.abs(r)))
 

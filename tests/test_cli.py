@@ -164,6 +164,19 @@ def test_malformed_file_exits_two(tmp_path, capsys):
     assert "bad.problem:2" in err
 
 
+def test_overflowing_coefficient_exits_two(tmp_path):
+    path = tmp_path / "overflow.problem"
+    path.write_text('[problem]\nalpha = 2.5\neta = 0.5\np = 1.5\na = "1"\n'
+                    'f = "u + 10^400"\n', encoding="utf-8")
+    src = str(Path(plbvp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "plbvp.cli", "solve", str(path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "non-finite value" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_unknown_flag_exits_two(capsys, ex41_file):
     code, _, _ = _run(capsys, "solve", "--frobnicate", str(ex41_file))
     assert code == 2

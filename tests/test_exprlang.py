@@ -220,7 +220,10 @@ def _walk(e, env):
         base, expo = (np.asarray(v, dtype=float) for v in values)
         check(~((base < 0.0) & (expo != np.round(expo))), "negative base with non-integer exponent")
         check((base != 0.0) | (expo >= 0.0), "zero base with negative exponent")
-        return values[0] ** values[1]
+        try:
+            return values[0] ** values[1]
+        except OverflowError:  # two Python floats; numpy overflows to inf
+            return np.power(*values)
     if op == "/":
         check(np.asarray(values[1]) != 0.0, "division by zero")
     elif op == "ln":
@@ -318,6 +321,17 @@ def test_domain_error_same_for_scalar_0d_and_array_inputs(text, bad, message):
             evaluate(e, t=t, u=u)
         assert str(err.value) == message
         assert err.value.sample == dict(zip("tu", bad))
+
+
+@pytest.mark.parametrize("text", ["u + 10^400", "pow(10, 400)", "10^(400*t) + u"])
+def test_overflowing_constant_power_is_an_eval_error(text):
+    # a power of Python floats raises OverflowError where numpy returns inf
+    e = parse(text)
+    for t, u in ((1.0, 1.0), (np.array([1.0, 0.5]), np.array([1.0, 2.0]))):
+        with pytest.raises(ExprEvalError) as err:
+            evaluate(e, t=t, u=u)
+        assert str(err.value).startswith("evaluation produced a non-finite value in ")
+        assert err.value.sample == {"t": 1.0, "u": 1.0}
 
 
 def test_compiled_form_dies_with_expression():

@@ -1,4 +1,8 @@
+import copy
+import gc
 import math
+import pickle
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +11,9 @@ import pytest
 from plbvp.cases import CASES
 from plbvp.exprlang import ExprEvalError, parse
 from plbvp.greens import KernelParams, cone_gamma, phi_envelope
-from plbvp.quadrature import GridFunction, Partition, integrate
+from plbvp.quadrature import GridFunction, Partition, integrate, jacobi_rule, panel_rule
 from plbvp.solver import (
+    ORIGIN_LEVELS,
     Discretization,
     KernelAssembly,
     Problem,
@@ -16,6 +21,7 @@ from plbvp.solver import (
     apply_operator,
     picard_solve,
 )
+from plbvp.verify import verification_report
 
 
 def _problem(a="1", f="1", alpha=2.5, eta=0.5, p=1.5, **disc):
@@ -92,6 +98,104 @@ def test_c0_with_eta_just_above_a_node(alpha, delta):
     c0 = assembly.apply_to(np.ones_like)[0]
     exact = 1.0 / math.gamma(alpha + 1.0) + (1.0 - eta ** (alpha - 1.0)) / math.gamma(alpha)
     assert abs(c0 - exact) <= 1e-12
+
+
+def _dense_rule(kp, partition, g, m=4):
+    """Reference: KernelAssembly's rule with its full weight matrix, zeros
+    right of each row's tail cell included, applied in one product.  Returns
+    I^beta g at t_1..t_N, 1 and eta, and the bytes of the matrix."""
+    nodes = partition.nodes
+    halves = 0.5 ** np.arange(ORIGIN_LEVELS, 0, -1)
+    edges = np.concatenate([[0.0], nodes[1] * halves, nodes[1:]])
+    k = max(int(np.searchsorted(edges, kp.eta)) - 1, 1)
+    edges = np.insert(edges, k, edges[k] - (edges[k] - edges[k - 1]) * halves[::-1])
+    x, w = panel_rule(edges, m)
+    taus = np.concatenate([nodes[1:], [1.0, kp.eta]])
+    tail = np.searchsorted(edges, taus) - 1
+    lo = edges[tail]
+    half = 0.5 * (taus - lo)
+    weights = np.maximum(taus[:, None] - x[None, :], 0.0)
+    tail_x = np.empty((taus.size, m))
+    tail_w = np.empty((taus.size, m))
+    for rows, beta in ((slice(None, -2), kp.alpha), (slice(-2, None), kp.alpha - 1.0)):
+        scale = 1.0 / math.gamma(beta)
+        weights[rows] = np.power(weights[rows], beta - 1.0) * (scale * w)
+        xj, wj = jacobi_rule(m, beta - 1.0)
+        tail_x[rows] = lo[rows, None] + half[rows, None] * (1.0 + xj)
+        tail_w[rows] = scale * half[rows, None] ** beta * wj
+    weights[np.arange(taus.size)[:, None], tail[:, None] * m + np.arange(m)] = 0.0
+    return weights @ g(x) + np.sum(tail_w * g(tail_x), axis=1), weights.nbytes
+
+
+@pytest.mark.parametrize("panels", [4, 5, 31, 33, 64, 257])
+@pytest.mark.parametrize("alpha", [2.02, 2.5, 3.0])
+def test_blocked_rule_matches_dense_rule(panels, alpha):
+    # no panel count is a multiple of the block size; eta in the first panel,
+    # on a node, 1e-5 of a panel above a node, and in the last panel
+    part = Partition.graded(panels, 2.0)
+    t = part.nodes
+    j = panels // 3
+    etas = (0.5 * t[1], t[panels // 2], t[j] + 1e-5 * (t[j + 1] - t[j]), 0.5 * (t[-2] + 1.0))
+
+    def g(s):
+        return 1.0 + s ** 0.3 + np.sin(5.0 * s) ** 2
+
+    for eta in etas:
+        kp = KernelParams(alpha, float(eta))
+        rows, _ = _dense_rule(kp, part, g)
+        ialpha = np.concatenate([[0.0], rows[:-2]])
+        assembly = KernelAssembly(kp, part)
+        for got, want in ((assembly.fractional_integral(g), ialpha),
+                          (assembly.apply_to(g), rows[-3] + rows[-2] - rows[-1] - ialpha)):
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_blocked_rule_stores_about_half_the_dense_matrix():
+    panels, m = 1024, 4
+    assembly = KernelAssembly(KernelParams(2.5, 0.5), Partition.graded(panels, 2.0), m)
+    stored = sum(block.nbytes for block in assembly._blocks)
+    assert stored <= 0.55 * (panels + 2) * m * (panels + 2 * ORIGIN_LEVELS) * 8
+
+
+def test_problem_builds_one_assembly_per_partition(monkeypatch):
+    built = []
+    init = KernelAssembly.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(KernelAssembly, "__init__", counting_init)
+    pb = _problem(f="(1 + u)/2", panels=64)
+    report = picard_solve(pb)
+    verification_report(pb, report.solution, 0.5)
+    apply_operator(pb, report.solution)
+    apply_operator(pb, report.solution)
+    assert len(built) == 1
+    # a solution on another partition gets a rule of its own
+    apply_operator(pb, GridFunction.constant(Partition.graded(32, 2.0), 0.1))
+    assert len(built) == 2
+    # a copy with other settings starts without the rule of the original,
+    # here one with other points on the same nodes
+    six = replace(pb, discretization=replace(pb.discretization, points_per_panel=6))
+    apply_operator(six, report.solution)
+    assert len(built) == 3 and built[-1][2] == 6
+
+
+def test_kept_assembly_is_invisible():
+    pb = replace(CASES["ex43"].problem)  # a new instance, with no rule kept yet
+    fresh, key = pickle.dumps(pb), hash(pb)
+    assert len(fresh) == 558
+    report = picard_solve(pb)
+    assert pickle.dumps(pb) == fresh
+    assert hash(pb) == key and pb == replace(pb) and repr(pb) == repr(replace(pb))
+    clone = copy.deepcopy(pb)
+    assert clone == pb and hash(clone) == key
+    assert np.array_equal(picard_solve(clone).solution.values, report.solution.values)
+    ref = weakref.ref(pb)
+    del pb, report
+    gc.collect()
+    assert ref() is None
 
 
 def test_operator_samples_density_once():
