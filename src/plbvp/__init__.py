@@ -3,7 +3,7 @@ Caputo fractional boundary value problem on [0, 1]."""
 
 from .exprlang import ExprError, ExprEvalError, ExprSyntaxError, evaluate, parse, to_text
 from .greens import KernelParams, cone_gamma, g_kernel, h_kernel, k_kernel, phi_envelope
-from .plaplacian import conjugate, lipschitz_bound, phi
+from .plaplacian import conjugate, phi
 from .problemfile import (
     ProblemConfig,
     ProblemFileError,

@@ -174,18 +174,18 @@ def _cmd_check(args) -> int:
     return EXIT_OK if report.holds else EXIT_FAIL
 
 
-def _read_solution_csv(path, interpolation: str) -> GridFunction:
+def _read_solution_csv(path) -> GridFunction:
     data = np.genfromtxt(path, delimiter=",", names=True)
     if data.dtype.names != ("t", "u"):
         raise ValueError(f"expected CSV header 't,u' in {path}")
     nodes = np.atleast_1d(data["t"])
     values = np.atleast_1d(data["u"])
-    return GridFunction(Partition(nodes), values, interpolation)
+    return GridFunction(Partition(nodes), values)
 
 
 def _cmd_verify(args) -> int:
     config = _load_config(args)
-    u = _read_solution_csv(args.solution, config.problem.discretization.interpolation)
+    u = _read_solution_csv(args.solution)
     report = verification_report(config.problem, u, config.rho)
     lines = [("command", "verify"), ("problem", args.problem),
              ("solution", args.solution)]

@@ -1,19 +1,14 @@
-"""The scalar p-Laplacian map phi_r(s) = |s|^(r-2) s and related estimates.
+"""The scalar p-Laplacian map phi_r(s) = |s|^(r-2) s and its conjugate exponent.
 
 phi_r is a strictly increasing odd bijection of the real line for every
-r > 1, with inverse phi_q where 1/r + 1/q = 1.  The Lipschitz constants
-returned by :func:`lipschitz_bound` are the ones that make the fixed-point
-operator of this package a contraction in the two exponent regimes.
+r > 1, with inverse phi_q where 1/r + 1/q = 1.
 """
 
 import math
 
 import numpy as np
 
-__all__ = ["phi", "conjugate", "lipschitz_bound"]
-
-LOWER_BOUNDED = "lower_bounded"
-UPPER_BOUNDED = "upper_bounded"
+__all__ = ["phi", "conjugate"]
 
 
 def _check_exponent(r: float) -> float:
@@ -42,26 +37,3 @@ def conjugate(p: float) -> float:
     """Conjugate exponent q = p / (p - 1), so that 1/p + 1/q = 1."""
     p = _check_exponent(p)
     return p / (p - 1.0)
-
-
-def lipschitz_bound(r: float, bound: float, regime: str) -> float:
-    """Lipschitz constant (r-1) * bound^(r-2) of phi_r on a restricted set.
-
-    regime = "lower_bounded" covers 1 < r <= 2 with same-sign arguments of
-    magnitude at least m = bound > 0; regime = "upper_bounded" covers r > 2
-    with arguments of magnitude at most M = bound.  The two cases are
-    disjoint and a mismatched exponent is rejected.
-    """
-    r = _check_exponent(r)
-    bound = float(bound)
-    if not math.isfinite(bound) or bound <= 0.0:
-        raise ValueError(f"bound must be a positive real, got {bound!r}")
-    if regime == LOWER_BOUNDED:
-        if r > 2.0:
-            raise ValueError("lower_bounded regime requires 1 < r <= 2")
-    elif regime == UPPER_BOUNDED:
-        if r <= 2.0:
-            raise ValueError("upper_bounded regime requires r > 2")
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-    return (r - 1.0) * bound ** (r - 2.0)

@@ -26,6 +26,9 @@ A problem file is a sectioned key = value text document:
 Only [problem] is mandatory; omitted sections take the defaults shown.
 points_per_panel sets the Gauss points per cell of the solver's
 fractional-integral operator and per panel of the theorem checks.
+interpolation accepts only cubic, the shape-preserving PCHIP that is the
+package's one interpolation rule; the key is kept so that files which
+state it still load.
 Lines starting with '#' or ';' are comments.  Expression values may be
 quoted or bare.  All diagnostics carry the offending line number.
 """
@@ -123,6 +126,12 @@ def _parse_lines(text: str, path: str | None):
     return sections, section_lines
 
 
+def _interpolation(raw: str) -> str:
+    if raw != "cubic":
+        raise ValueError(f"{raw!r}: cubic (PCHIP) is the only interpolation rule")
+    return raw
+
+
 def _take(section: dict, key: str, convert, default=None, *,
           required: bool = False, path=None, what=""):
     if key not in section:
@@ -155,8 +164,8 @@ def loads_problem(text: str, path: str | None = None) -> ProblemConfig:
         panels=_take(disc_sec, "panels", int, 256, path=path),
         points_per_panel=_take(disc_sec, "points_per_panel", int, 4, path=path),
         grading=_take(disc_sec, "grading", float, 2.0, path=path),
-        interpolation=_take(disc_sec, "interpolation", str, "cubic", path=path),
     )
+    _take(disc_sec, "interpolation", _interpolation, path=path)
     solver_sec = sections.get("solver", {})
     solver_kwargs = dict(
         tol=_take(solver_sec, "tol", float, 1e-10, path=path),
@@ -204,7 +213,7 @@ def dump_problem(config: ProblemConfig) -> str:
         f"panels = {d.panels}",
         f"points_per_panel = {d.points_per_panel}",
         f"grading = {d.grading!r}",
-        f"interpolation = {d.interpolation}",
+        "interpolation = cubic",
         "",
         "[solver]",
         f"tol = {s.tol!r}",

@@ -5,10 +5,10 @@ grading toward both ends; it is the workhorse for integrals of
 closed-form integrands.  ``panel_rule`` places Gauss-Legendre points on
 given panel edges, and ``jacobi_rule`` gives the Gauss-Jacobi rule for the
 weight (1 - x)^a on [-1, 1]; together they make the product-integration
-rule of :class:`plbvp.solver.KernelAssembly`.  The cubic rule of
-:class:`GridFunction` is a numpy Fritsch-Carlson PCHIP (SIAM J. Numer.
-Anal. 17, 1980) with the slopes of Moler's ``pchip``, and :func:`cumulative`
-is its exact integral.
+rule of :class:`plbvp.solver.KernelAssembly`.  :class:`GridFunction`
+interpolates by the one rule of this package, a numpy Fritsch-Carlson PCHIP
+(SIAM J. Numer. Anal. 17, 1980) with the slopes of Moler's ``pchip``, and
+:func:`cumulative` is its exact integral.
 """
 
 from dataclasses import dataclass
@@ -35,8 +35,6 @@ DEFAULT_POINTS = 4
 # 1e-10 uniformly over alpha in (2, 3]; exponent 2 degrades to ~2e-8 near
 # alpha = 2.1.
 DEFAULT_GRADING = 3.0
-
-INTERPOLATIONS = ("cubic", "linear")
 
 
 class QuadratureError(RuntimeError):
@@ -94,7 +92,6 @@ def gauss_rule(lo: float, hi: float, panels: int = DEFAULT_PANELS,
     return panel_rule(graded_edges(lo, hi, panels, grading), points)
 
 
-@lru_cache(maxsize=None)
 def jacobi_rule(points: int, a: float):
     """Gauss-Jacobi nodes and weights for int_{-1}^{1} (1 - x)^a g(x) dx, a > -1.
 
@@ -112,8 +109,6 @@ def jacobi_rule(points: int, a: float):
     off = 2.0 * n * (n + a) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
     x, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     w = 2.0 ** (a + 1.0) / (a + 1.0) * vecs[0] ** 2
-    x.setflags(write=False)
-    w.setflags(write=False)
     return x, w
 
 
@@ -150,7 +145,6 @@ class Partition:
     """Strictly increasing nodes from 0 to 1 defining the panel structure."""
 
     nodes: np.ndarray
-    grading: float = 1.0
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -172,15 +166,11 @@ class Partition:
         u = np.linspace(0.0, 1.0, panels + 1)
         nodes = 1.0 - (1.0 - u) ** grading
         nodes[0], nodes[-1] = 0.0, 1.0
-        return Partition(nodes, grading=grading)
+        return Partition(nodes)
 
     @property
     def panels(self) -> int:
         return self.nodes.size - 1
-
-    def refined(self, factor: int = 2) -> "Partition":
-        """Partition with factor times as many panels and the same grading law."""
-        return Partition.graded(self.panels * factor, self.grading)
 
 
 def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -218,10 +208,10 @@ def _hermite(x: np.ndarray, y: np.ndarray, d: np.ndarray, xi: np.ndarray) -> np.
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Values on a partition plus an interpolation rule ("cubic" or "linear").
+    """Values on a partition, interpolated by the shape-preserving piecewise
+    cubic (PCHIP).
 
-    The cubic rule is the shape-preserving piecewise cubic (PCHIP), which
-    keeps interpolants of nonnegative monotone data nonnegative and
+    The PCHIP keeps interpolants of nonnegative monotone data nonnegative and
     monotone; that matters because cumulative integrals of nonnegative
     densities feed the p-Laplacian inverse, which expects a nonnegative
     argument.  Instances are immutable and safe to share.
@@ -229,7 +219,6 @@ class GridFunction:
 
     partition: Partition
     values: np.ndarray
-    interpolation: str = "cubic"
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -239,38 +228,29 @@ class GridFunction:
             )
         if not np.all(np.isfinite(values)):
             raise ValueError("grid function values must be finite")
-        if self.interpolation not in INTERPOLATIONS:
-            raise ValueError(f"unknown interpolation {self.interpolation!r}")
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
     @staticmethod
-    def constant(partition: Partition, value: float,
-                 interpolation: str = "cubic") -> "GridFunction":
-        return GridFunction(partition, np.full(partition.nodes.size, float(value)),
-                            interpolation)
+    def constant(partition: Partition, value: float) -> "GridFunction":
+        return GridFunction(partition, np.full(partition.nodes.size, float(value)))
 
     @staticmethod
-    def from_callable(partition: Partition, fn,
-                      interpolation: str = "cubic") -> "GridFunction":
-        return GridFunction(partition, np.asarray(fn(partition.nodes), dtype=float),
-                            interpolation)
+    def from_callable(partition: Partition, fn) -> "GridFunction":
+        return GridFunction(partition, np.asarray(fn(partition.nodes), dtype=float))
 
     @cached_property
     def _slopes(self) -> np.ndarray:
         return _pchip_slopes(self.partition.nodes, self.values)
 
     def __call__(self, x):
-        xi = np.asarray(x, dtype=float)
-        if self.interpolation == "cubic":
-            out = _hermite(self.partition.nodes, self.values, self._slopes, xi)
-        else:
-            out = np.interp(xi, self.partition.nodes, self.values)
+        out = _hermite(self.partition.nodes, self.values, self._slopes,
+                       np.asarray(x, dtype=float))
         return float(out) if np.ndim(x) == 0 else out
 
     def with_values(self, values) -> "GridFunction":
-        return GridFunction(self.partition, values, self.interpolation)
+        return GridFunction(self.partition, values)
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -279,13 +259,11 @@ class GridFunction:
 def cumulative(g: GridFunction) -> GridFunction:
     """Running integral F(x) = int_0^x of the interpolant of g, at the nodes.
 
-    F(0) = 0 and F is nondecreasing whenever g >= 0 (exactly so for the
-    linear rule, and by shape preservation for the cubic rule).  A cubic
-    panel of width h contributes h (y0 + y1) / 2 + h^2 (d0 - d1) / 12.
+    F(0) = 0 and F is nondecreasing whenever g >= 0, by the shape
+    preservation of the PCHIP.  A panel of width h contributes
+    h (y0 + y1) / 2 + h^2 (d0 - d1) / 12.
     """
     h = np.diff(g.partition.nodes)
     panel = 0.5 * (g.values[1:] + g.values[:-1]) * h
-    if g.interpolation == "cubic":
-        panel += h * h * (g._slopes[:-1] - g._slopes[1:]) / 12.0
-    return GridFunction(g.partition, np.concatenate([[0.0], np.cumsum(panel)]),
-                        g.interpolation)
+    panel += h * h * (g._slopes[:-1] - g._slopes[1:]) / 12.0
+    return GridFunction(g.partition, np.concatenate([[0.0], np.cumsum(panel)]))

@@ -76,7 +76,6 @@ class Discretization:
     panels: int = 256
     points_per_panel: int = 4
     grading: float = 2.0
-    interpolation: str = "cubic"
 
     def __post_init__(self):
         if self.panels < 4:
@@ -85,15 +84,13 @@ class Discretization:
             raise ValueError("points_per_panel must be >= 2")
         if not (math.isfinite(self.grading) and self.grading >= 1.0):
             raise ValueError("grading exponent must be >= 1")
-        if self.interpolation not in ("cubic", "linear"):
-            raise ValueError(f"unknown interpolation {self.interpolation!r}")
 
     def partition(self) -> Partition:
         return Partition.graded(self.panels, self.grading)
 
     def refined(self, factor: int = 2) -> "Discretization":
         return Discretization(self.panels * factor, self.points_per_panel,
-                              self.grading, self.interpolation)
+                              self.grading)
 
 
 @dataclass(frozen=True)
@@ -327,17 +324,15 @@ def picard_solve(pb: Problem, u0: GridFunction | None = None, tol: float = 1e-10
     contraction bound holds).  Non-convergence within max_iter returns a
     report with converged = False rather than raising.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
 
-    partition = pb.partition()
-    interpolation = pb.discretization.interpolation
     if u0 is None:
-        u0 = GridFunction.constant(partition, 0.0, interpolation)
+        u0 = GridFunction.constant(pb.partition(), 0.0)
     if float(np.min(u0.values)) < NEGATIVITY_SLACK:
         raise SolverError("u0 must be nonnegative")
 

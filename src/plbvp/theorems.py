@@ -101,6 +101,15 @@ def _a_integral(pb: Problem) -> float:
                      panels=d.panels, points=d.points_per_panel)
 
 
+def _positive_a_integral(pb: Problem, constant: str) -> float:
+    """int_0^1 a, for a constant that divides by it."""
+    ia = _a_integral(pb)
+    if not ia > 0.0:
+        raise ValueError(f"a(t) vanishes identically (int_0^1 a = {ia!r}), "
+                         f"so {constant} is undefined")
+    return ia
+
+
 def _eval_a(pb: Problem, s: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(exprlang.evaluate(pb.a, t=s), float), s.shape)
 
@@ -130,7 +139,8 @@ def _envelope_integral(pb: Problem) -> float:
 
 def lambda1(pb: Problem) -> float:
     """Lambda_1 = ( phi_q(int_0^1 a) * int_0^1 Phi )^(-1)."""
-    return 1.0 / (phi(pb.q, _a_integral(pb)) * _envelope_integral(pb))
+    ia = _positive_a_integral(pb, "Lambda_1")
+    return 1.0 / (phi(pb.q, ia) * _envelope_integral(pb))
 
 
 def lambda2(pb: Problem, rho: float) -> float:
@@ -150,8 +160,8 @@ def lambda2(pb: Problem, rho: float) -> float:
     integrand = phi_envelope(kp, outer_x) * phi(pb.q, inner)
     value = gam * float(outer_w @ integrand)
     if value <= 0.0:
-        raise ArithmeticError("nested quadrature for Lambda_2 is nonpositive; "
-                              "a(t) may vanish identically")
+        raise ValueError("nested quadrature for Lambda_2 is nonpositive: a(t) "
+                         "vanishes on [0, rho], so Lambda_2 is undefined")
     return 1.0 / value
 
 
@@ -439,7 +449,7 @@ def check_contraction_large_p(pb: Problem, mu: float, sigma: float,
     checks = [InequalityCheck("a*f >= mu*sigma*t^(sigma-1) on (0,1]x[0,u_max]",
                               worst <= SAMPLING_SLACK, worst, 0.0, witness=at)]
 
-    ia = _a_integral(pb)
+    ia = _positive_a_integral(pb, "the bound on k")
     beta_value = beta(pb.alpha - 1.0, c + 1.0)
     k_bound = ((c + pb.alpha) * gamma(pb.alpha - 1.0)
                / ((q - 1.0) * mu ** (q - 2.0) * (c + pb.alpha + 1.0) * beta_value)

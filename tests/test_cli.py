@@ -9,6 +9,8 @@ import pytest
 import plbvp
 from plbvp.cli import main
 
+PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
+
 
 def _run(capsys, *argv):
     code = main(list(argv))
@@ -150,6 +152,13 @@ def test_dump_round_trip_byte_identical(tmp_path, capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("case", ["ex41", "ex42", "ex43"])
+def test_dump_matches_bundled_problem_file(capsys, case):
+    code, out, _ = _run(capsys, "dump", case)
+    assert code == 0
+    assert out == (PROBLEMS / f"{case}.problem").read_text(encoding="utf-8")
+
+
 def test_missing_file_exits_two(capsys):
     code, _, err = _run(capsys, "solve", "no-such-file.problem")
     assert code == 2
@@ -175,6 +184,25 @@ def test_overflowing_coefficient_exits_two(tmp_path):
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 2
     assert "non-finite value" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_nan_tolerance_exits_two(capsys, ex43_file):
+    code, _, err = _run(capsys, "solve", str(ex43_file), "--tol", "nan")
+    assert code == 2
+    assert "tol must be positive" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--theorem", "3.1", "--rho1", "0.1", "--rho2", "1"],
+    ["--theorem", "3.4", "--mu", "0.005", "--sigma", "1.5", "--k", "0.01"],
+])
+def test_vanishing_coefficient_exits_two(tmp_path, capsys, argv):
+    path = tmp_path / "azero.problem"
+    path.write_text('[problem]\nalpha = 2.5\neta = 0.5\np = 3\na = "0"\n'
+                    'f = "1 + u"\n', encoding="utf-8")
+    code, _, err = _run(capsys, "check", *argv, str(path))
+    assert code == 2
+    assert "a(t) vanishes identically" in err
 
 
 def test_unknown_flag_exits_two(capsys, ex41_file):

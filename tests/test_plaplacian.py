@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from plbvp.plaplacian import conjugate, lipschitz_bound, phi
+from plbvp.plaplacian import conjugate, phi
 
 
 def test_phi_identity_for_p2():
@@ -55,25 +55,6 @@ def test_phi_rejects_nonfinite():
         phi(1.0, 2.0)
 
 
-def test_lipschitz_bound_examples():
-    assert lipschitz_bound(1.5, 4.0, "lower_bounded") == pytest.approx(0.25, rel=1e-14)
-    assert lipschitz_bound(3.0, 2.0, "upper_bounded") == pytest.approx(4.0, rel=1e-14)
-    assert lipschitz_bound(2.0, 5.0, "lower_bounded") == pytest.approx(1.0, rel=1e-14)
-
-
-def test_lipschitz_bound_regime_mismatch():
-    with pytest.raises(ValueError):
-        lipschitz_bound(3.0, 1.0, "lower_bounded")
-    with pytest.raises(ValueError):
-        lipschitz_bound(1.5, 1.0, "upper_bounded")
-    with pytest.raises(ValueError):
-        lipschitz_bound(2.0, 1.0, "upper_bounded")
-    with pytest.raises(ValueError):
-        lipschitz_bound(1.5, 0.0, "lower_bounded")
-    with pytest.raises(ValueError):
-        lipschitz_bound(1.5, 1.0, "sideways")
-
-
 @given(r=st.floats(min_value=1.0, max_value=5.0, exclude_min=True),
        s=st.floats(min_value=-10.0, max_value=10.0))
 def test_phi_odd_symmetry(r, s):
@@ -108,7 +89,7 @@ def test_phi_inversion(p, s):
 def test_lipschitz_case_lower_bounded(p, m, x, y, sign):
     # same-sign arguments with |x|, |y| >= m
     xv, yv = sign * (m + x), sign * (m + y)
-    bound = lipschitz_bound(p, m, "lower_bounded")
+    bound = (p - 1.0) * m ** (p - 2.0)
     assert abs(phi(p, xv) - phi(p, yv)) <= bound * abs(xv - yv) + 1e-12
 
 
@@ -117,6 +98,7 @@ def test_lipschitz_case_lower_bounded(p, m, x, y, sign):
        x=st.floats(min_value=-1.0, max_value=1.0),
        y=st.floats(min_value=-1.0, max_value=1.0))
 def test_lipschitz_case_upper_bounded(p, big, x, y):
+    # |x|, |y| <= big
     xv, yv = big * x, big * y
-    bound = lipschitz_bound(p, big, "upper_bounded")
+    bound = (p - 1.0) * big ** (p - 2.0)
     assert abs(phi(p, xv) - phi(p, yv)) <= bound * abs(xv - yv) + 1e-12

