@@ -141,32 +141,36 @@ def _cmd_solve(args) -> int:
     return EXIT_OK if report.converged else EXIT_FAIL
 
 
-def _run_check(config: ProblemConfig, args) -> TheoremReport:
+# The flags of check that _run_check takes, under the same names.
+_CHECK_FLAGS = ("theorem", "rho1", "rho2", "M1", "M2", "nu", "L", "k_env", "mu", "sigma", "k")
+
+
+def _run_check(config: ProblemConfig, *, theorem: str, rho1=None, rho2=None, M1=None,
+               M2=None, nu=None, L=None, k_env=None, mu=None, sigma=None,
+               k=None) -> TheoremReport:
     pb = config.problem
-    theorem = args.theorem
     if theorem in ("3.1", "3.2"):
-        if args.rho1 is None or args.rho2 is None:
+        if rho1 is None or rho2 is None:
             raise ValueError(f"--theorem {theorem} requires --rho1 and --rho2")
         variant = "expansive_3_1" if theorem == "3.1" else "compressive_3_2"
-        return check_krasnoselskii(pb, config.rho, args.rho1, args.rho2,
-                                   M1=args.M1, M2=args.M2, variant=variant)
+        return check_krasnoselskii(pb, config.rho, rho1, rho2,
+                                   M1=M1, M2=M2, variant=variant)
     if theorem == "3.3":
-        if args.nu is None:
+        if nu is None:
             raise ValueError("--theorem 3.3 requires --nu")
-        return check_leray_schauder(pb, args.nu)
+        return check_leray_schauder(pb, nu)
     if theorem == "3.4":
-        if args.mu is None or args.sigma is None or args.k is None:
+        if mu is None or sigma is None or k is None:
             raise ValueError("--theorem 3.4 requires --mu, --sigma and --k")
-        return check_contraction_large_p(pb, args.mu, args.sigma, args.k)
-    if args.k_env is None or args.L is None:
+        return check_contraction_large_p(pb, mu, sigma, k)
+    if k_env is None or L is None:
         raise ValueError("--theorem 3.5 requires --k-env and --L")
-    k_env = exprlang.parse(args.k_env, variables=("t",))
-    return check_contraction_small_p(pb, k_env, args.L)
+    return check_contraction_small_p(pb, exprlang.parse(k_env, variables=("t",)), L)
 
 
 def _cmd_check(args) -> int:
     config = _load_config(args)
-    report = _run_check(config, args)
+    report = _run_check(config, **{name: getattr(args, name) for name in _CHECK_FLAGS})
     lines = [("command", "check"), ("problem", args.problem)]
     lines += _problem_lines(config)
     lines += _report_lines(report)
@@ -207,17 +211,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     case = CASES[args.case]
-    pb = case.problem
-    config = ProblemConfig(problem=pb, rho=case.rho)
+    config = ProblemConfig(problem=case.problem, rho=case.rho)
     lines = [("command", "reproduce"), ("case", case.case_id)]
     lines += _problem_lines(config)
-    if case.check == "3.3":
-        report = check_leray_schauder(pb, case.nu)
-    elif case.check == "3.5":
-        report = check_contraction_small_p(
-            pb, exprlang.parse(case.k_env, variables=("t",)), case.L)
-    else:
-        report = check_krasnoselskii(pb, case.rho, case.rho1, case.rho2)
+    report = _run_check(config, theorem=case.check, nu=case.nu, k_env=case.k_env,
+                        L=case.L, rho1=case.rho1, rho2=case.rho2)
+    if case.check == "3.1":
         # closed form of Lambda_1 for this coefficient: 15 sqrt(pi) / 28
         lines.append(("lambda1_reference", 15.0 * gamma(0.5) / 28.0))
         lines.append(("m1_pow", report.quantities["phi_p_M1_rho2"]))

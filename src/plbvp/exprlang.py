@@ -445,6 +445,8 @@ _CALLS = {
 def evaluate(e: Expr, t=None, u=None):
     """Evaluate an expression at t and/or u (scalars or numpy arrays).
 
+    Scalar inputs give a float, others an array of their broadcast shape.
+
     The first evaluation compiles e (see :func:`_compile`) and keeps the
     compiled form on e itself, so later evaluations skip the tree walk and
     the form is freed with e.
@@ -462,7 +464,10 @@ def evaluate(e: Expr, t=None, u=None):
     if not finite.all():
         raise ExprEvalError("evaluation produced a non-finite value", e,
                             _witness({"t": t, "u": u}, ~finite))
-    return float(arr) if (arr.ndim == 0 and np.ndim(t) == 0 and np.ndim(u) == 0) else arr
+    if np.ndim(t) == 0 and np.ndim(u) == 0:
+        return float(arr)
+    shape = np.broadcast(t, u).shape
+    return arr if arr.shape == shape else np.broadcast_to(arr, shape)
 
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5

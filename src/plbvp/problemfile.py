@@ -23,7 +23,8 @@ A problem file is a sectioned key = value text document:
     [cone]
     rho = 0.5
 
-Only [problem] is mandatory; omitted sections take the defaults shown.
+Only [problem] is mandatory; omitted keys take the defaults shown, those of
+Discretization, SolverSettings and ProblemConfig.
 points_per_panel sets the Gauss points per cell of the solver's
 fractional-integral operator and per panel of the theorem checks.
 interpolation accepts only cubic, the shape-preserving PCHIP that is the
@@ -132,47 +133,40 @@ def _interpolation(raw: str) -> str:
     return raw
 
 
-def _take(section: dict, key: str, convert, default=None, *,
-          required: bool = False, path=None, what=""):
+def _take(section: dict, key: str, convert, *, path=None, what=""):
     if key not in section:
-        if required:
-            raise ProblemFileError(f"missing key {key!r}", None, path)
-        return default
+        raise ProblemFileError(f"missing key {key!r}", None, path)
     raw, lineno = section[key]
     try:
         return convert(raw)
-    except exprlang.ExprError as exc:
+    except ValueError as exc:  # an ExprError is a ValueError
         raise ProblemFileError(f"bad {what or key}: {exc}", lineno, path) from exc
-    except ValueError as exc:
-        raise ProblemFileError(f"bad {what or key}: {exc}", lineno, path) from exc
+
+
+def _stated(section: dict, converters, path) -> dict:
+    """The converted keys of section that it states, as keyword arguments."""
+    return {key: _take(section, key, convert, path=path)
+            for key, convert in converters if key in section}
 
 
 def loads_problem(text: str, path: str | None = None) -> ProblemConfig:
     sections, section_lines = _parse_lines(text, path)
     prob = sections["problem"]
 
-    alpha = _take(prob, "alpha", float, required=True, path=path)
-    eta = _take(prob, "eta", float, required=True, path=path)
-    p = _take(prob, "p", float, required=True, path=path)
+    alpha = _take(prob, "alpha", float, path=path)
+    eta = _take(prob, "eta", float, path=path)
+    p = _take(prob, "p", float, path=path)
     a = _take(prob, "a", lambda s: exprlang.parse(s, variables=("t",)),
-              required=True, path=path, what="expression for a(t)")
-    f = _take(prob, "f", exprlang.parse, required=True, path=path,
-              what="expression for f(t, u)")
+              path=path, what="expression for a(t)")
+    f = _take(prob, "f", exprlang.parse, path=path, what="expression for f(t, u)")
 
     disc_sec = sections.get("discretization", {})
-    disc_kwargs = dict(
-        panels=_take(disc_sec, "panels", int, 256, path=path),
-        points_per_panel=_take(disc_sec, "points_per_panel", int, 4, path=path),
-        grading=_take(disc_sec, "grading", float, 2.0, path=path),
-    )
-    _take(disc_sec, "interpolation", _interpolation, path=path)
-    solver_sec = sections.get("solver", {})
-    solver_kwargs = dict(
-        tol=_take(solver_sec, "tol", float, 1e-10, path=path),
-        max_iter=_take(solver_sec, "max_iter", int, 80, path=path),
-        damping=_take(solver_sec, "damping", float, 1.0, path=path),
-    )
-    rho = _take(sections.get("cone", {}), "rho", float, 0.5, path=path)
+    disc_kwargs = _stated(disc_sec, (("panels", int), ("points_per_panel", int),
+                                     ("grading", float)), path)
+    _stated(disc_sec, (("interpolation", _interpolation),), path)  # validated, not stored
+    solver_kwargs = _stated(sections.get("solver", {}), (
+        ("tol", float), ("max_iter", int), ("damping", float)), path)
+    cone_kwargs = _stated(sections.get("cone", {}), (("rho", float),), path)
 
     def _build(factory, kwargs, section_name):
         try:
@@ -186,7 +180,7 @@ def loads_problem(text: str, path: str | None = None) -> ProblemConfig:
                                    discretization=discretization), "problem")
     settings = _build(SolverSettings, solver_kwargs, "solver")
     try:
-        return ProblemConfig(problem=problem, solver=settings, rho=rho)
+        return ProblemConfig(problem=problem, solver=settings, **cone_kwargs)
     except ValueError as exc:
         raise ProblemFileError(str(exc), section_lines.get("cone"), path) from exc
 

@@ -53,11 +53,11 @@ ORIGIN_LEVELS = 20
 # panels.
 BLOCK_ROWS = 32
 
-# Lattice over which (H1)-(H2) nonnegativity of f and a is checked at
-# construction time.
-VALIDATION_LATTICE_T = 201
-VALIDATION_U_MAX = 100.0
-NEGATIVITY_SLACK = -1e-12
+# Lattice of the (H1)-(H2) nonnegativity checks and the theorem checks, and
+# the float noise granted to a sampled inequality or a nonnegative iterate.
+LATTICE = 201
+WIDE_U_MAX = 100.0
+SAMPLING_SLACK = 1e-12
 
 
 class SolverError(RuntimeError):
@@ -100,7 +100,7 @@ class Problem:
     alpha in (2, 3] is the fractional order, eta in (0, 1) the interior
     boundary point, p > 1 the p-Laplacian exponent; a references only t and
     f references t and u.  Nonnegativity of a and f is enforced by sampling
-    over a validation lattice (t in [0, 1], u in [0, VALIDATION_U_MAX]).
+    over the lattice (t in [0, 1], u in [0, WIDE_U_MAX]).
     """
 
     alpha: float
@@ -120,17 +120,15 @@ class Problem:
         extra = exprlang.variables_of(self.f) - {"t", "u"}
         if extra:
             raise ValueError(f"f(t, u) may reference only t and u, found {sorted(extra)}")
-        ts = np.linspace(0.0, 1.0, VALIDATION_LATTICE_T)
-        avals = np.asarray(exprlang.evaluate(self.a, t=ts), dtype=float)
-        avals = np.broadcast_to(avals, ts.shape)
-        if np.min(avals) < NEGATIVITY_SLACK:
+        ts = np.linspace(0.0, 1.0, LATTICE)
+        avals = exprlang.evaluate(self.a, t=ts)
+        if np.min(avals) < -SAMPLING_SLACK:
             i = int(np.argmin(avals))
             raise ValueError(f"a(t) is negative: a({ts[i]}) = {avals[i]}")
-        us = np.linspace(0.0, VALIDATION_U_MAX, VALIDATION_LATTICE_T)
+        us = np.linspace(0.0, WIDE_U_MAX, LATTICE)
         tg, ug = np.meshgrid(ts, us, indexing="ij")
-        fvals = np.broadcast_to(np.asarray(exprlang.evaluate(self.f, t=tg, u=ug),
-                                           dtype=float), tg.shape)
-        if np.min(fvals) < NEGATIVITY_SLACK:
+        fvals = exprlang.evaluate(self.f, t=tg, u=ug)
+        if np.min(fvals) < -SAMPLING_SLACK:
             i, j = np.unravel_index(int(np.argmin(fvals)), fvals.shape)
             raise ValueError(
                 f"f(t, u) is negative: f({ts[i]}, {us[j]}) = {fvals[i, j]}")
@@ -169,10 +167,8 @@ class Problem:
         """Sample a(t) f(t, u(t)) at the partition nodes."""
         ts = u.partition.nodes
         uv = np.maximum(u.values, 0.0)
-        av = np.broadcast_to(np.asarray(exprlang.evaluate(self.a, t=ts), float), ts.shape)
-        fv = np.broadcast_to(np.asarray(exprlang.evaluate(self.f, t=ts, u=uv), float),
-                             ts.shape)
-        return u.with_values(av * fv)
+        return u.with_values(exprlang.evaluate(self.a, t=ts)
+                             * exprlang.evaluate(self.f, t=ts, u=uv))
 
 
 @dataclass
@@ -307,7 +303,7 @@ def kernel_route(kp: KernelParams, q: float, h: GridFunction,
 
 def apply_operator(pb: Problem, u: GridFunction) -> GridFunction:
     """One application of the integral operator A to a nonnegative iterate."""
-    if float(np.min(u.values)) < NEGATIVITY_SLACK:
+    if float(np.min(u.values)) < -SAMPLING_SLACK:
         raise SolverError(
             f"iterate is negative (min {float(np.min(u.values))}); "
             "the operator is only defined on the nonnegative cone")
@@ -333,7 +329,7 @@ def picard_solve(pb: Problem, u0: GridFunction | None = None, tol: float = 1e-10
 
     if u0 is None:
         u0 = GridFunction.constant(pb.partition(), 0.0)
-    if float(np.min(u0.values)) < NEGATIVITY_SLACK:
+    if float(np.min(u0.values)) < -SAMPLING_SLACK:
         raise SolverError("u0 must be nonnegative")
 
     omega = damping
@@ -345,7 +341,7 @@ def picard_solve(pb: Problem, u0: GridFunction | None = None, tol: float = 1e-10
     iterations = 0
     for iterations in range(1, max_iter + 1):
         new_values = (1.0 - omega) * u.values + omega * au.values
-        if float(np.min(new_values)) < NEGATIVITY_SLACK:
+        if float(np.min(new_values)) < -SAMPLING_SLACK:
             raise SolverError(
                 f"iteration {iterations} left the nonnegative cone "
                 f"(min {float(np.min(new_values))})")

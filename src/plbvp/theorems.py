@@ -4,7 +4,8 @@ Each checker computes every quantity entering the hypotheses of one theorem
 (cone expansion/compression, the nonlinear-alternative bound, or one of the
 two contraction regimes) on a concrete problem, samples the required
 inequalities on f, and returns an auditable :class:`TheoremReport` with a
-hypotheses_hold / hypotheses_fail verdict.
+hypotheses_hold / hypotheses_fail verdict.  int_0^1 Phi is taken in closed
+form, and every inequality on f over a box is sampled by :func:`_sampled`.
 
 Sampling makes these semi-decisions: a violated inequality is certified
 exactly by its witness point, while a satisfied one is certified only up to
@@ -20,6 +21,7 @@ would repeat it call for call and change nothing either.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .exprlang import Expr
 from .greens import cone_gamma, phi_envelope
 from .plaplacian import phi
 from .quadrature import gauss_rule, integrate
-from .solver import Problem
+from .solver import LATTICE, SAMPLING_SLACK, WIDE_U_MAX, Problem
 from .specialfn import beta, gamma
 
 __all__ = [
@@ -47,27 +49,18 @@ __all__ = [
 HOLDS = "hypotheses_hold"
 FAILS = "hypotheses_fail"
 
-LATTICE = 201
-WIDE_U_MAX = 100.0
-# Numerical slack granted to sampled inequalities (pure float noise).
-SAMPLING_SLACK = 1e-12
-
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
 class InequalityCheck:
-    """One verified inequality: name, sides, and the margin rhs-relative."""
+    """One verified inequality lhs <= rhs: name, sides and outcome."""
 
     name: str
     holds: bool
     lhs: float
     rhs: float
     witness: tuple | None = None
-
-    @property
-    def margin(self) -> float:
-        return self.rhs - self.lhs
 
 
 @dataclass
@@ -78,15 +71,15 @@ class TheoremReport:
     inputs: dict
     quantities: dict
     checks: list
-    verdict: str = FAILS
     notes: tuple = ()
-
-    def __post_init__(self):
-        self.verdict = HOLDS if all(c.holds for c in self.checks) else FAILS
 
     @property
     def holds(self) -> bool:
-        return self.verdict == HOLDS
+        return all(c.holds for c in self.checks)
+
+    @property
+    def verdict(self) -> str:
+        return HOLDS if self.holds else FAILS
 
     def failure_witness(self) -> InequalityCheck | None:
         for c in self.checks:
@@ -97,7 +90,7 @@ class TheoremReport:
 
 def _a_integral(pb: Problem) -> float:
     d = pb.discretization
-    return integrate(lambda s: _eval_a(pb, s), 0.0, 1.0,
+    return integrate(lambda s: exprlang.evaluate(pb.a, t=s), 0.0, 1.0,
                      panels=d.panels, points=d.points_per_panel)
 
 
@@ -110,37 +103,20 @@ def _positive_a_integral(pb: Problem, constant: str) -> float:
     return ia
 
 
-def _eval_a(pb: Problem, s: np.ndarray) -> np.ndarray:
-    return np.broadcast_to(np.asarray(exprlang.evaluate(pb.a, t=s), float), s.shape)
-
-
-def _eval_f(pb: Problem, t, u):
-    return exprlang.evaluate(pb.f, t=t, u=u)
-
-
 def _envelope_integral(pb: Problem) -> float:
-    """int_0^1 Phi = (alpha + 1) / Gamma(alpha + 1), the closed form, once a
-    quadrature of the kernel envelope agrees with it.
-
-    The closed form is returned because the quadrature is not exact: for
-    alpha near 2, (1 - s)^(alpha - 2) is nearly singular at s = 1 and the
-    quadrature is off by up to about 1e-9 relative.
-    """
-    kp = pb.kernel_params
-    d = pb.discretization
-    value = integrate(lambda s: phi_envelope(kp, s), 0.0, 1.0,
-                      panels=d.panels, points=d.points_per_panel)
-    closed = (pb.alpha + 1.0) / gamma(pb.alpha + 1.0)
-    if abs(value - closed) > 1e-7 * closed:
-        raise ArithmeticError(
-            f"envelope quadrature {value!r} disagrees with closed form {closed!r}")
-    return closed
+    """int_0^1 Phi = (alpha + 1) / Gamma(alpha + 1), in closed form: for alpha
+    near 2, Phi is nearly singular at s = 1 and a quadrature is inexact."""
+    return (pb.alpha + 1.0) / gamma(pb.alpha + 1.0)
 
 
 def lambda1(pb: Problem) -> float:
     """Lambda_1 = ( phi_q(int_0^1 a) * int_0^1 Phi )^(-1)."""
     ia = _positive_a_integral(pb, "Lambda_1")
-    return 1.0 / (phi(pb.q, ia) * _envelope_integral(pb))
+    denominator = phi(pb.q, ia) * _envelope_integral(pb)
+    if not denominator > 0.0:
+        raise ValueError(f"phi_q(int_0^1 a) underflows to 0 (int_0^1 a = {ia!r}), "
+                         "so Lambda_1 is undefined")
+    return 1.0 / denominator
 
 
 def lambda2(pb: Problem, rho: float) -> float:
@@ -154,9 +130,7 @@ def lambda2(pb: Problem, rho: float) -> float:
     inner_x, inner_w = gauss_rule(0.0, 1.0, panels=max(32, d.panels // 4),
                                   points=d.points_per_panel)
     taus = outer_x[:, None] * inner_x[None, :]
-    avals = np.broadcast_to(
-        np.asarray(exprlang.evaluate(pb.a, t=taus), float), taus.shape)
-    inner = (avals @ inner_w) * outer_x
+    inner = (exprlang.evaluate(pb.a, t=taus) @ inner_w) * outer_x
     integrand = phi_envelope(kp, outer_x) * phi(pb.q, inner)
     value = gam * float(outer_w @ integrand)
     if value <= 0.0:
@@ -232,12 +206,24 @@ def box_minimum(fn, t_range, u_range, lattice: int = LATTICE):
     return -value, at
 
 
+def _sampled(name: str, fn, t_range, u_range, bound: float, upper: bool):
+    """(check, extremum) of fn <= bound (upper) or fn >= bound on the box,
+    up to SAMPLING_SLACK, from fn's sampled maximum or minimum."""
+    if upper:
+        value, at = box_maximum(fn, t_range, u_range)
+        return InequalityCheck(name, value <= bound + SAMPLING_SLACK, value, bound,
+                               witness=at), value
+    value, at = box_minimum(fn, t_range, u_range)
+    return InequalityCheck(name, value >= bound - SAMPLING_SLACK, bound, value,
+                           witness=at), value
+
+
 def check_leray_schauder(pb: Problem, nu: float) -> TheoremReport:
     """Nonlinear-alternative condition nu > L^(q-1) phi_q(int a) int Phi,
     with L the sampled maximum of f over [0, 1] x [0, nu]."""
     if not (math.isfinite(nu) and nu > 0.0):
         raise ValueError(f"nu must be positive, got {nu!r}")
-    L, at = box_maximum(lambda t, u: _eval_f(pb, t, u), (0.0, 1.0), (0.0, nu))
+    L, at = box_maximum(partial(exprlang.evaluate, pb.f), (0.0, 1.0), (0.0, nu))
     ia = _a_integral(pb)
     iphi = _envelope_integral(pb)
     rhs = phi(pb.q, L) * phi(pb.q, ia) * iphi
@@ -288,53 +274,40 @@ def check_krasnoselskii(pb: Problem, rho: float, rho1: float, rho2: float,
     if M2 is None:
         M2 = lam2
 
-    fmax_fn = lambda t, u: _eval_f(pb, t, u)
     checks = [
         InequalityCheck("0 < M1", 0.0 < M1, 0.0, M1),
         InequalityCheck("M1 <= Lambda1", M1 <= lam1, M1, lam1),
         InequalityCheck("M2 >= Lambda2", M2 >= lam2, lam2, M2),
         InequalityCheck("rho1 < rho2", rho1 < rho2, rho1, rho2),
     ]
-    if variant == "expansive_3_1":
-        theorem = "3.1"
-        checks.append(InequalityCheck("M2*rho1 < M1*rho2", M2 * rho1 < M1 * rho2,
-                                      M2 * rho1, M1 * rho2))
-        upper_cap = phi(pb.p, M1 * rho2)
-        fmax, at_max = box_maximum(fmax_fn, (0.0, 1.0), (0.0, rho2))
-        checks.append(InequalityCheck("f <= phi_p(M1*rho2) on [0,1]x[0,rho2]",
-                                      fmax <= upper_cap + SAMPLING_SLACK,
-                                      fmax, upper_cap, witness=at_max))
-        lower_cap = phi(pb.p, M2 * rho1)
-        fmin, at_min = box_minimum(fmax_fn, (0.0, rho), (gam * rho1, rho1))
-        checks.append(InequalityCheck("f >= phi_p(M2*rho1) on [0,rho]x[g*rho1,rho1]",
-                                      fmin >= lower_cap - SAMPLING_SLACK,
-                                      lower_cap, fmin, witness=at_min))
-        quantities = {
-            "lambda1": lam1, "lambda2": lam2, "gamma": gam,
-            "f_max_upper_box": fmax, "phi_p_M1_rho2": upper_cap,
-            "f_min_lower_box": fmin, "phi_p_M2_rho1": lower_cap,
-        }
-    else:
-        theorem = "3.2"
+    # 3.1 bounds f above on the rho2 box and below on the rho1 box; 3.2 does
+    # the reverse and lists the lower box first.
+    expansive = variant == "expansive_3_1"
+    theorem = "3.1" if expansive else "3.2"
+    up, low = ("rho2", "rho1") if expansive else ("rho1", "rho2")
+    r_up, r_low = (rho2, rho1) if expansive else (rho1, rho2)
+    if not expansive:
         checks.append(InequalityCheck("gamma*rho2 < rho1", gam * rho2 < rho1,
                                       gam * rho2, rho1))
-        checks.append(InequalityCheck("M1*rho1 > M2*rho2", M1 * rho1 > M2 * rho2,
-                                      M2 * rho2, M1 * rho1))
-        lower_cap = phi(pb.p, M2 * rho2)
-        fmin, at_min = box_minimum(fmax_fn, (0.0, rho), (gam * rho2, rho2))
-        checks.append(InequalityCheck("f >= phi_p(M2*rho2) on [0,rho]x[g*rho2,rho2]",
-                                      fmin >= lower_cap - SAMPLING_SLACK,
-                                      lower_cap, fmin, witness=at_min))
-        upper_cap = phi(pb.p, M1 * rho1)
-        fmax, at_max = box_maximum(fmax_fn, (0.0, 1.0), (0.0, rho1))
-        checks.append(InequalityCheck("f <= phi_p(M1*rho1) on [0,1]x[0,rho1]",
-                                      fmax <= upper_cap + SAMPLING_SLACK,
-                                      fmax, upper_cap, witness=at_max))
-        quantities = {
-            "lambda1": lam1, "lambda2": lam2, "gamma": gam,
-            "f_min_lower_box": fmin, "phi_p_M2_rho2": lower_cap,
-            "f_max_upper_box": fmax, "phi_p_M1_rho1": upper_cap,
-        }
+    checks.append(InequalityCheck(
+        "M2*rho1 < M1*rho2" if expansive else "M1*rho1 > M2*rho2",
+        M2 * r_low < M1 * r_up, M2 * r_low, M1 * r_up))
+
+    f = partial(exprlang.evaluate, pb.f)
+    boxes = [  # (upper, check name, cap key, phi_p argument, t range, u range)
+        (True, f"f <= phi_p(M1*{up}) on [0,1]x[0,{up}]", f"phi_p_M1_{up}",
+         M1 * r_up, (0.0, 1.0), (0.0, r_up)),
+        (False, f"f >= phi_p(M2*{low}) on [0,rho]x[g*{low},{low}]", f"phi_p_M2_{low}",
+         M2 * r_low, (0.0, rho), (gam * r_low, r_low)),
+    ]
+    quantities = {"lambda1": lam1, "lambda2": lam2, "gamma": gam}
+    for upper, name, cap_key, scaled, t_range, u_range in (
+            boxes if expansive else boxes[::-1]):
+        cap = phi(pb.p, scaled)
+        check, extremum = _sampled(name, f, t_range, u_range, cap, upper)
+        checks.append(check)
+        quantities["f_max_upper_box" if upper else "f_min_lower_box"] = extremum
+        quantities[cap_key] = cap
     report = TheoremReport(
         theorem=theorem,
         inputs={"rho": rho, "rho1": rho1, "rho2": rho2, "M1": M1, "M2": M2},
@@ -366,23 +339,18 @@ def check_contraction_small_p(pb: Problem, k_env: Expr, L: float) -> TheoremRepo
     d = pb.discretization
 
     ts = np.linspace(0.0, 1.0, LATTICE)
-    kv = np.broadcast_to(np.asarray(exprlang.evaluate(k_env, t=ts), float), ts.shape)
+    kv = exprlang.evaluate(k_env, t=ts)
     k_min = float(np.min(kv))
     checks = [InequalityCheck("k >= 0 on [0,1]", k_min >= -SAMPLING_SLACK, 0.0, k_min,
                               witness=(float(ts[int(np.argmin(kv))]), None))]
-
-    excess, at = box_maximum(
-        lambda t, u: np.asarray(_eval_f(pb, t, u), float)
-        - np.broadcast_to(np.asarray(exprlang.evaluate(k_env, t=t), float),
-                          np.shape(t)),
-        (0.0, 1.0), (0.0, WIDE_U_MAX))
-    checks.append(InequalityCheck("f <= k on [0,1]x[0,u_max]",
-                                  excess <= SAMPLING_SLACK, excess, 0.0, witness=at))
+    checks.append(_sampled(
+        "f <= k on [0,1]x[0,u_max]",
+        lambda t, u: exprlang.evaluate(pb.f, t=t, u=u) - exprlang.evaluate(k_env, t=t),
+        (0.0, 1.0), (0.0, WIDE_U_MAX), 0.0, upper=True)[0])
 
     ia = _a_integral(pb)
     m_value = integrate(
-        lambda s: _eval_a(pb, s)
-        * np.broadcast_to(np.asarray(exprlang.evaluate(k_env, t=s), float), s.shape),
+        lambda s: exprlang.evaluate(pb.a, t=s) * exprlang.evaluate(k_env, t=s),
         0.0, 1.0, panels=d.panels, points=d.points_per_panel)
     galpha1 = gamma(pb.alpha + 1.0)
     if m_value > 0.0 and ia > 0.0:
@@ -438,16 +406,12 @@ def check_contraction_large_p(pb: Problem, mu: float, sigma: float,
             "moment diverges otherwise")
 
     def deficit(t, u):
-        t = np.asarray(t, float)
-        av = np.broadcast_to(np.asarray(exprlang.evaluate(pb.a, t=t), float),
-                             np.shape(t))
-        fv = np.broadcast_to(np.asarray(_eval_f(pb, t, u), float), np.shape(t))
-        return mu * sigma * t ** (sigma - 1.0) - av * fv
+        return (mu * sigma * t ** (sigma - 1.0)
+                - exprlang.evaluate(pb.a, t=t) * exprlang.evaluate(pb.f, t=t, u=u))
 
     t_min = 1.0 / (LATTICE - 1)
-    worst, at = box_maximum(deficit, (t_min, 1.0), (0.0, WIDE_U_MAX))
-    checks = [InequalityCheck("a*f >= mu*sigma*t^(sigma-1) on (0,1]x[0,u_max]",
-                              worst <= SAMPLING_SLACK, worst, 0.0, witness=at)]
+    checks = [_sampled("a*f >= mu*sigma*t^(sigma-1) on (0,1]x[0,u_max]", deficit,
+                       (t_min, 1.0), (0.0, WIDE_U_MAX), 0.0, upper=True)[0]]
 
     ia = _positive_a_integral(pb, "the bound on k")
     beta_value = beta(pb.alpha - 1.0, c + 1.0)

@@ -21,7 +21,7 @@ import numpy as np
 from .greens import cone_gamma
 from .plaplacian import phi
 from .quadrature import GridFunction, cumulative
-from .solver import Problem
+from .solver import SAMPLING_SLACK, Problem
 
 __all__ = [
     "VerificationReport",
@@ -81,7 +81,7 @@ def fd_weights(x0: float, xs, m: int) -> np.ndarray:
 
 def integral_form_residual(pb: Problem, u: GridFunction) -> float:
     """Sup-norm of r(t) = u(t) - u(0) + I^alpha[phi_q(F)](t) over the nodes."""
-    if float(np.min(u.values)) < -1e-12:
+    if float(np.min(u.values)) < -SAMPLING_SLACK:
         raise ValueError("u must be nonnegative")
     F = cumulative(pb.density(u))
     ialpha = pb.assembly(u.partition).fractional_integral(lambda s: phi(pb.q, F(s)))
@@ -120,7 +120,7 @@ def _dense_points(nodes: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 def cone_check(pb: Problem, u: GridFunction, rho: float) -> float:
     """Slack min_[0, rho] u - gamma * sup u; nonnegative for true solutions."""
-    if float(np.min(u.values)) < -1e-12:
+    if float(np.min(u.values)) < -SAMPLING_SLACK:
         raise ValueError("u must be nonnegative")
     gam = cone_gamma(pb.kernel_params, rho)
     nodes = u.partition.nodes

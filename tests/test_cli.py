@@ -205,6 +205,36 @@ def test_vanishing_coefficient_exits_two(tmp_path, capsys, argv):
     assert "a(t) vanishes identically" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--theorem", "3.1", "--rho1", "0.1", "--rho2", "1"],
+    ["--theorem", "3.2", "--rho1", "0.5", "--rho2", "1"],
+])
+def test_underflowing_lambda1_exits_two(tmp_path, capsys, argv):
+    path = tmp_path / "atiny.problem"
+    path.write_text('[problem]\nalpha = 2.5\neta = 0.5\np = 1.5\na = "1e-300"\n'
+                    'f = "1"\n', encoding="utf-8")
+    code, _, err = _run(capsys, "check", *argv, str(path))
+    assert code == 2
+    assert "phi_q(int_0^1 a) underflows to 0" in err
+    assert "Lambda_1 is undefined" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--theorem", "3.3", "--nu", "10"],
+    ["--theorem", "3.1", "--rho1", "0.1", "--rho2", "1"],
+])
+def test_coarse_rule_near_alpha_two_gives_a_verdict(tmp_path, capsys, argv):
+    # two Gauss points on 64 panels integrate the envelope Phi, nearly
+    # singular at s = 1 for alpha = 2.1, only to about 1e-7
+    path = tmp_path / "coarse.problem"
+    path.write_text('[problem]\nalpha = 2.1\neta = 0.5\np = 1.5\na = "1"\n'
+                    'f = "0.5*t*ln(u+1)"\n\n[discretization]\npanels = 64\n'
+                    'points_per_panel = 2\n', encoding="utf-8")
+    code, out, _ = _run(capsys, "check", *argv, str(path))
+    assert code in (0, 1)
+    assert _report(out)["verdict"] in ("hypotheses_hold", "hypotheses_fail")
+
+
 def test_unknown_flag_exits_two(capsys, ex41_file):
     code, _, _ = _run(capsys, "solve", "--frobnicate", str(ex41_file))
     assert code == 2

@@ -142,6 +142,20 @@ def test_vectorized_matches_scalar():
         assert vec[i] == pytest.approx(evaluate(e, t=float(ts[i]), u=float(us[i])))
 
 
+def test_array_inputs_give_the_broadcast_shape():
+    ts = np.linspace(0.0, 1.0, 5)
+    const = evaluate(parse("1"), t=ts)
+    assert isinstance(const, np.ndarray) and const.shape == (5,)
+    assert const.tolist() == [1.0] * 5
+    grid = evaluate(parse("t"), t=ts[:, None], u=np.linspace(0.0, 2.0, 3)[None, :])
+    assert grid.shape == (5, 3)
+    np.testing.assert_array_equal(grid, np.repeat(ts[:, None], 3, axis=1))
+    assert evaluate(parse("t + u"), t=ts[:, None], u=np.ones((1, 3))).shape == (5, 3)
+    assert type(evaluate(parse("1"), t=0.5)) is float
+    assert type(evaluate(parse("t*u"), t=0.5, u=2.0)) is float
+    assert type(evaluate(parse("2"))) is float
+
+
 def test_variables_of():
     assert variables_of(parse("0.5*t*ln(u+1)")) == frozenset({"t", "u"})
     assert variables_of(parse("pi+1")) == frozenset()
@@ -248,7 +262,9 @@ def _walk_evaluate(e, t=None, u=None):
     if not np.all(np.isfinite(arr)):
         raise ExprEvalError("evaluation produced a non-finite value", e,
                             exprlang._witness(env, ~np.isfinite(arr)))
-    return float(arr) if np.ndim(t) == 0 and np.ndim(u) == 0 and arr.ndim == 0 else arr
+    if np.ndim(t) == 0 and np.ndim(u) == 0:
+        return float(arr)
+    return np.broadcast_to(arr, np.broadcast_shapes(np.shape(t), np.shape(u)))
 
 
 _SAMPLE_T = np.array([0.0, 0.3, 1.0, -0.5, 2.0])

@@ -2,11 +2,14 @@ import pytest
 
 from plbvp.exprlang import to_text
 from plbvp.problemfile import (
+    ProblemConfig,
     ProblemFileError,
+    SolverSettings,
     dump_problem,
     load_problem,
     loads_problem,
 )
+from plbvp.solver import Discretization
 
 EX41_TEXT = """\
 # three-point BVP instance
@@ -31,6 +34,15 @@ def test_load_minimal_with_defaults():
     assert config.solver.tol == 1e-9
     assert config.solver.max_iter == 80
     assert config.rho == 0.5
+
+
+def test_omitted_keys_take_the_dataclass_defaults():
+    config = loads_problem(EX41_TEXT.replace("tol = 1e-9", "max_iter = 12"))
+    assert config.problem.discretization == Discretization()
+    assert config.solver == SolverSettings(max_iter=12)
+    assert config.rho == ProblemConfig(problem=config.problem).rho
+    text = EX41_TEXT + "\n[discretization]\ngrading = 1.5\n"
+    assert loads_problem(text).problem.discretization == Discretization(grading=1.5)
 
 
 def test_unquoted_expressions_accepted():

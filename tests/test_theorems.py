@@ -90,6 +90,21 @@ def test_vanishing_coefficient_is_a_value_error():
         check_contraction_large_p(pb, mu=0.005, sigma=1.0, k=0.1)
 
 
+def test_underflowing_phi_q_of_a_integral_is_a_value_error():
+    # int_0^1 a = 1e-300 is positive, but phi_q of it, (1e-300)^2, is 0
+    pb = _problem(a="1e-300", p=1.5)
+    with pytest.raises(ValueError, match="underflows to 0"):
+        lambda1(pb)
+
+
+def test_lambda1_closed_form_at_coarse_quadrature():
+    # int_0^1 Phi is taken in closed form, so a rule too coarse for Phi,
+    # nearly singular at s = 1 for alpha = 2.1, does not matter when a == 1
+    pb = Problem(alpha=2.1, eta=0.5, p=2.0, a=parse("1", variables=("t",)), f=parse("1"),
+                 discretization=Discretization(panels=64, points_per_panel=2))
+    assert lambda1(pb) == pytest.approx(math.gamma(3.1) / 3.1, rel=1e-13)
+
+
 # --- extrema sampling ----------------------------------------------------
 
 def test_box_extrema_hits_lattice_corner():
@@ -233,6 +248,31 @@ def test_krasnoselskii_ex43_defaults():
     assert rep.quantities["phi_p_M2_rho1"] == pytest.approx(0.035923234336611208478,
                                                             abs=1e-7)
     assert rep.quantities["f_min_lower_box"] > rep.quantities["phi_p_M2_rho1"]
+
+
+def test_krasnoselskii_report_layout():
+    case = CASES["ex43"]
+    rep = check_krasnoselskii(case.problem, case.rho, case.rho1, case.rho2)
+    assert [c.name for c in rep.checks] == [
+        "0 < M1", "M1 <= Lambda1", "M2 >= Lambda2", "rho1 < rho2", "M2*rho1 < M1*rho2",
+        "f <= phi_p(M1*rho2) on [0,1]x[0,rho2]",
+        "f >= phi_p(M2*rho1) on [0,rho]x[g*rho1,rho1]",
+    ]
+    assert list(rep.quantities) == [
+        "lambda1", "lambda2", "gamma", "f_max_upper_box", "phi_p_M1_rho2",
+        "f_min_lower_box", "phi_p_M2_rho1",
+    ]
+    rep = check_krasnoselskii(case.problem, case.rho, 0.5, 1.0, variant="compressive_3_2")
+    assert [c.name for c in rep.checks] == [
+        "0 < M1", "M1 <= Lambda1", "M2 >= Lambda2", "rho1 < rho2", "gamma*rho2 < rho1",
+        "M1*rho1 > M2*rho2",
+        "f >= phi_p(M2*rho2) on [0,rho]x[g*rho2,rho2]",
+        "f <= phi_p(M1*rho1) on [0,1]x[0,rho1]",
+    ]
+    assert list(rep.quantities) == [
+        "lambda1", "lambda2", "gamma", "f_min_lower_box", "phi_p_M2_rho2",
+        "f_max_upper_box", "phi_p_M1_rho1",
+    ]
 
 
 def test_krasnoselskii_zero_f_fails_lower_bound():
