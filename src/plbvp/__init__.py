@@ -7,7 +7,6 @@ from .plaplacian import conjugate, phi
 from .problemfile import (
     ProblemConfig,
     ProblemFileError,
-    SolverSettings,
     dump_problem,
     load_problem,
     loads_problem,
@@ -24,6 +23,7 @@ from .solver import (
     Problem,
     SolveReport,
     SolverError,
+    SolverSettings,
     apply_operator,
     kernel_route,
     picard_solve,

@@ -21,10 +21,9 @@ one of its points is invalid on its own.
 
 An expression is compiled once, on its first evaluation, into one closure
 per node; the closures live on the expression object and die with it.
-Later evaluations, such as the hundreds of scalar calls of one theorem
-check, skip the walk over the tree.  Compiling changes no result: each
-closure applies the same numpy operation to the same operands as the tree
-walk did.
+Later evaluations skip the walk over the tree.  Compiling changes no
+result: each closure applies the same numpy operation to the same operands
+as the tree walk did.
 """
 
 import math

@@ -37,7 +37,7 @@ quoted or bare.  All diagnostics carry the offending line number.
 from dataclasses import dataclass, field
 
 from . import exprlang
-from .solver import Discretization, Problem
+from .solver import Discretization, Problem, SolverSettings
 
 __all__ = ["ProblemFileError", "SolverSettings", "ProblemConfig",
            "load_problem", "loads_problem", "dump_problem"]
@@ -53,21 +53,6 @@ class ProblemFileError(ValueError):
         if line is not None:
             where += f":{line}"
         super().__init__(f"{where}: {message}")
-
-
-@dataclass(frozen=True)
-class SolverSettings:
-    tol: float = 1e-10
-    max_iter: int = 80
-    damping: float = 1.0
-
-    def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ __all__ = [
     "Problem",
     "SolveReport",
     "SolverError",
+    "SolverSettings",
     "KernelAssembly",
     "apply_operator",
     "kernel_route",
@@ -169,6 +170,21 @@ class Problem:
         uv = np.maximum(u.values, 0.0)
         return u.with_values(exprlang.evaluate(self.a, t=ts)
                              * exprlang.evaluate(self.f, t=ts, u=uv))
+
+
+@dataclass(frozen=True)
+class SolverSettings:
+    tol: float = 1e-10
+    max_iter: int = 80
+    damping: float = 1.0
+
+    def __post_init__(self):
+        if not self.tol > 0.0:
+            raise ValueError("tol must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+        if not 0.0 < self.damping <= 1.0:
+            raise ValueError("damping must lie in (0, 1]")
 
 
 @dataclass
@@ -310,8 +326,9 @@ def apply_operator(pb: Problem, u: GridFunction) -> GridFunction:
     return _integral_operator(pb.assembly(u.partition), pb.q, pb.density(u))
 
 
-def picard_solve(pb: Problem, u0: GridFunction | None = None, tol: float = 1e-10,
-                 max_iter: int = 80, damping: float = 1.0) -> SolveReport:
+def picard_solve(pb: Problem, u0: GridFunction | None = None,
+                 tol: float = SolverSettings.tol, max_iter: int = SolverSettings.max_iter,
+                 damping: float = SolverSettings.damping) -> SolveReport:
     """Damped Picard iteration u_{k+1} = (1 - w) u_k + w A u_k.
 
     Convergence requires both the successive sup-norm gap and the residual
@@ -320,13 +337,7 @@ def picard_solve(pb: Problem, u0: GridFunction | None = None, tol: float = 1e-10
     contraction bound holds).  Non-convergence within max_iter returns a
     report with converged = False rather than raising.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
-
+    SolverSettings(tol, max_iter, damping)  # range checks
     if u0 is None:
         u0 = GridFunction.constant(pb.partition(), 0.0)
     if float(np.min(u0.values)) < -SAMPLING_SLACK:

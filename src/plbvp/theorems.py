@@ -9,14 +9,8 @@ form, and every inequality on f over a box is sampled by :func:`_sampled`.
 
 Sampling makes these semi-decisions: a violated inequality is certified
 exactly by its witness point, while a satisfied one is certified only up to
-the lattice density (201 x 201 plus golden-section refinement around the
-extremal cell).  Reports record the lattice used.
-
-The refinement alternates golden-section searches in t and in u for up to
-three rounds, and stops after a round that improves neither coordinate of
-the maximiser.  The stop is exact: a round's searches depend only on the
-maximiser and the value found so far, so the round after an unchanged one
-would repeat it call for call and change nothing either.
+the lattice density (201 x 201, then a pattern search around the best
+point; see :func:`box_maximum`).  Reports record the lattice used.
 """
 
 import math
@@ -49,7 +43,12 @@ __all__ = [
 HOLDS = "hypotheses_hold"
 FAILS = "hypotheses_fail"
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# The pattern search of box_maximum (see there).
+PATTERN = 9
+SHRINK = 4.0
+STOP = 1e-12
+MAX_STEPS = 400
+SAMPLER = "lattice with pattern search"  # as named in the reports' notes
 
 
 @dataclass(frozen=True)
@@ -113,9 +112,9 @@ def lambda1(pb: Problem) -> float:
     """Lambda_1 = ( phi_q(int_0^1 a) * int_0^1 Phi )^(-1)."""
     ia = _positive_a_integral(pb, "Lambda_1")
     denominator = phi(pb.q, ia) * _envelope_integral(pb)
-    if not denominator > 0.0:
-        raise ValueError(f"phi_q(int_0^1 a) underflows to 0 (int_0^1 a = {ia!r}), "
-                         "so Lambda_1 is undefined")
+    if not (denominator > 0.0 and math.isfinite(1.0 / denominator)):
+        raise ValueError(f"phi_q(int_0^1 a) underflows to 0 or is too small to invert "
+                         f"(int_0^1 a = {ia!r}), so Lambda_1 is undefined")
     return 1.0 / denominator
 
 
@@ -133,70 +132,46 @@ def lambda2(pb: Problem, rho: float) -> float:
     inner = (exprlang.evaluate(pb.a, t=taus) @ inner_w) * outer_x
     integrand = phi_envelope(kp, outer_x) * phi(pb.q, inner)
     value = gam * float(outer_w @ integrand)
-    if value <= 0.0:
-        raise ValueError("nested quadrature for Lambda_2 is nonpositive: a(t) "
-                         "vanishes on [0, rho], so Lambda_2 is undefined")
+    if not (value > 0.0 and math.isfinite(1.0 / value)):
+        raise ValueError(f"nested quadrature for Lambda_2 is {value!r}, too small to "
+                         "invert: a(t) vanishes or nearly vanishes on [0, rho], so "
+                         "Lambda_2 is undefined")
     return 1.0 / value
 
 
-def _golden_max_1d(fn, lo: float, hi: float, iters: int = 60):
-    """Golden-section maximization of a unimodal-ish 1d slice."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-    x = c if fc >= fd else d
-    return x, max(fc, fd)
-
-
 def box_maximum(fn, t_range, u_range, lattice: int = LATTICE):
-    """Max of fn(t, u) over a box: dense lattice plus golden refinement.
+    """Max of fn(t, u) over a box: dense lattice plus pattern search.
 
     fn must accept numpy arrays and be deterministic.  Returns (value, (t, u)).
-
-    Each of up to three rounds searches t on the lattice cells either side
-    of the best point, at its u, and then u at its t.  A round that improves
-    neither leaves the next round the same inputs, so the next round would
-    find nothing either: the loop stops there, with the result three
-    rounds would give.
+    From the best lattice point, each step samples fn on a PATTERN x PATTERN
+    lattice over t +- ht, u +- hu within the box, from half-widths of one
+    cell: it moves to a strictly higher value, or else divides both by
+    SHRINK, until both are at most STOP cells or MAX_STEPS steps are taken.
     """
     t_lo, t_hi = t_range
     u_lo, u_hi = u_range
-    ts = np.linspace(t_lo, t_hi, lattice)
-    us = np.linspace(u_lo, u_hi, lattice)
-    tg, ug = np.meshgrid(ts, us, indexing="ij")
-    vals = np.broadcast_to(np.asarray(fn(tg, ug), float), tg.shape)
-    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    best_t, best_u, best = ts[i], us[j], float(vals[i, j])
-    # refine within the one-cell neighbourhood of the best lattice point
-    dt = (t_hi - t_lo) / (lattice - 1) if t_hi > t_lo else 0.0
-    du = (u_hi - u_lo) / (lattice - 1) if u_hi > u_lo else 0.0
-    for _ in range(3):
-        moved = False
-        if dt > 0.0:
-            lo, hi = max(t_lo, best_t - dt), min(t_hi, best_t + dt)
-            x, v = _golden_max_1d(lambda t: float(fn(np.asarray(t), np.asarray(best_u))),
-                                  lo, hi)
-            if v > best:
-                best_t, best, moved = x, v, True
-        if du > 0.0:
-            lo, hi = max(u_lo, best_u - du), min(u_hi, best_u + du)
-            x, v = _golden_max_1d(lambda u: float(fn(np.asarray(best_t), np.asarray(u))),
-                                  lo, hi)
-            if v > best:
-                best_u, best, moved = x, v, True
-        if not moved:
-            # the next round would repeat this one's searches exactly
+
+    def sample(ts, us):
+        tg, ug = np.meshgrid(ts, us, indexing="ij")
+        vals = np.broadcast_to(np.asarray(fn(tg, ug), float), tg.shape)
+        i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        return float(vals[i, j]), ts[i], us[j]
+
+    best, best_t, best_u = sample(np.linspace(t_lo, t_hi, lattice),
+                                  np.linspace(u_lo, u_hi, lattice))
+    cell_t = (t_hi - t_lo) / (lattice - 1)
+    cell_u = (u_hi - u_lo) / (lattice - 1)
+    ht, hu = cell_t, cell_u
+    for _ in range(MAX_STEPS):
+        if ht <= STOP * cell_t and hu <= STOP * cell_u:
             break
+        value, t, u = sample(
+            np.linspace(max(t_lo, best_t - ht), min(t_hi, best_t + ht), PATTERN),
+            np.linspace(max(u_lo, best_u - hu), min(u_hi, best_u + hu), PATTERN))
+        if value > best:
+            best, best_t, best_u = value, t, u
+        else:
+            ht, hu = ht / SHRINK, hu / SHRINK
     return best, (float(best_t), float(best_u))
 
 
@@ -241,7 +216,7 @@ def check_leray_schauder(pb: Problem, nu: float) -> TheoremReport:
             "margin": nu - rhs,
         },
         checks=checks,
-        notes=(f"f sampled on a {LATTICE}x{LATTICE} lattice with golden refinement",),
+        notes=(f"f sampled on a {LATTICE}x{LATTICE} {SAMPLER}",),
     )
 
 
@@ -313,7 +288,7 @@ def check_krasnoselskii(pb: Problem, rho: float, rho1: float, rho2: float,
         inputs={"rho": rho, "rho1": rho1, "rho2": rho2, "M1": M1, "M2": M2},
         quantities=quantities,
         checks=checks,
-        notes=(f"f sampled on a {LATTICE}x{LATTICE} lattice with golden refinement",),
+        notes=(f"f sampled on a {LATTICE}x{LATTICE} {SAMPLER}",),
     )
     if report.holds:
         report.notes += (f"guarantees a positive solution with {rho1} < ||u|| < {rho2}",)
@@ -370,7 +345,7 @@ def check_contraction_small_p(pb: Problem, k_env: Expr, L: float) -> TheoremRepo
             "contraction_l1": l1,
         },
         checks=checks,
-        notes=(f"f - k sampled on a {LATTICE}x{LATTICE} lattice with golden refinement",
+        notes=(f"f - k sampled on a {LATTICE}x{LATTICE} {SAMPLER}",
                f"k_env = {exprlang.to_text(k_env)}"),
     )
 
@@ -431,6 +406,6 @@ def check_contraction_large_p(pb: Problem, mu: float, sigma: float,
             "contraction_l": contraction,
         },
         notes=(f"lower bound sampled on t in [{t_min}, 1] "
-               f"({LATTICE}x{LATTICE} lattice with golden refinement)",),
+               f"({LATTICE}x{LATTICE} {SAMPLER})",),
         checks=checks,
     )

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -30,3 +32,39 @@ def kernel_reference():
                 for lo, hi in zip(cuts, cuts[1:])))
         return REFERENCE_NODES, np.array(values)
     return reference
+
+
+@pytest.fixture
+def manufactured():
+    """Factory of manufactured problems with a closed-form solution.
+
+    For an instance (alpha, eta, p, c, r, k) with q = p/(p-1) and m = r(q-1),
+    take a(t) = c r t^(r-1) and f(t, u) = ((1 + u) / (1 + u*(t)))^k.  On
+    u = u* the density a f equals a, so phi_q(int_0^s a) = c^(q-1) s^m, and
+    the fractional-integral form of the problem gives
+
+        u*(t) = c^(q-1) Gamma(m+1) [ (1 - t^(m+alpha)) / Gamma(m+1+alpha)
+                                     + (1 - eta^(alpha+m-1)) / Gamma(m+alpha) ].
+
+    make(alpha, eta, p, c, r, k) returns (text, exact): text(panels) is the
+    instance's problem file and exact(t) is u*.  f(t, 0) > 0, so the Picard
+    iteration from u = 0 has nonlinear work to do.
+    """
+    def make(alpha, eta, p, c, r, k):
+        q = p / (p - 1.0)
+        m = r * (q - 1.0)
+        scale = c ** (q - 1.0) * math.gamma(m + 1.0)
+        b = scale / math.gamma(m + 1.0 + alpha)
+        top = b + scale * (1.0 - eta ** (alpha + m - 1.0)) / math.gamma(m + alpha)
+        e = m + alpha
+
+        def exact(t):
+            return top - b * np.asarray(t, dtype=float) ** e
+
+        def text(panels):
+            return (f"[problem]\nalpha = {alpha!r}\neta = {eta!r}\np = {p!r}\n"
+                    f'a = "{c * r!r}*t^{r - 1.0!r}"\n'
+                    f'f = "((1 + u)/({1.0 + top!r} - {b!r}*t^{e!r}))^{k!r}"\n\n'
+                    f"[discretization]\npanels = {panels}\n")
+        return text, exact
+    return make

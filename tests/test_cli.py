@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import plbvp
-from plbvp.cli import main
+from plbvp.cli import entry, main
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
@@ -219,6 +219,18 @@ def test_underflowing_lambda1_exits_two(tmp_path, capsys, argv):
     assert "Lambda_1 is undefined" in err
 
 
+@pytest.mark.parametrize("a", ["1e-155", "1e-156"])
+def test_lambda1_too_small_to_invert_exits_two(tmp_path, capsys, a):
+    # phi_q(int_0^1 a) = a^2 is subnormal, so 1 / it overflows to inf
+    path = tmp_path / "asubnormal.problem"
+    path.write_text(f'[problem]\nalpha = 2.5\neta = 0.5\np = 1.5\na = "{a}"\n'
+                    'f = "1"\n', encoding="utf-8")
+    code, _, err = _run(capsys, "check", "--theorem", "3.1", "--rho1", "0.1",
+                        "--rho2", "1", str(path))
+    assert code == 2
+    assert "too small to invert" in err and "Lambda_1 is undefined" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["--theorem", "3.3", "--nu", "10"],
     ["--theorem", "3.1", "--rho1", "0.1", "--rho2", "1"],
@@ -259,6 +271,15 @@ def test_verify_rejects_bad_csv(tmp_path, capsys, ex41_file):
     path.write_text("x,y\n0,0\n", encoding="utf-8")
     code, _, err = _run(capsys, "verify", str(ex41_file), "--solution", str(path))
     assert code == 2
+
+
+def test_console_script_entry_dumps_bundled_file(monkeypatch, capsys):
+    # entry() is what the installed plbvp console script runs
+    monkeypatch.setattr(sys, "argv", ["plbvp", "dump", "ex41"])
+    with pytest.raises(SystemExit) as exc:
+        entry()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == (PROBLEMS / "ex41.problem").read_text(encoding="utf-8")
 
 
 def test_cli_import_needs_no_scipy():

@@ -1,5 +1,6 @@
 import copy
 import gc
+import inspect
 import math
 import pickle
 import weakref
@@ -8,6 +9,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import plbvp
+from plbvp import problemfile
 from plbvp.cases import CASES
 from plbvp.exprlang import ExprEvalError, parse
 from plbvp.greens import KernelParams, cone_gamma, phi_envelope
@@ -18,6 +21,7 @@ from plbvp.solver import (
     KernelAssembly,
     Problem,
     SolverError,
+    SolverSettings,
     apply_operator,
     picard_solve,
 )
@@ -251,6 +255,45 @@ def test_picard_rejects_bad_controls():
         picard_solve(pb, damping=0.0)
     with pytest.raises(SolverError):
         picard_solve(pb, u0=GridFunction.constant(pb.partition(), -1.0))
+
+
+def test_picard_controls_are_the_solver_settings():
+    assert problemfile.SolverSettings is plbvp.SolverSettings is SolverSettings
+    params = inspect.signature(picard_solve).parameters
+    assert SolverSettings() == SolverSettings(
+        params["tol"].default, params["max_iter"].default, params["damping"].default)
+    pb = _problem(f="0")
+    for controls, message in (({"tol": 0.0}, "tol must be positive"),
+                              ({"max_iter": 0}, "max_iter must be >= 1"),
+                              ({"damping": 1.5}, "damping must lie in")):
+        with pytest.raises(ValueError, match=message):
+            picard_solve(pb, **controls)
+        with pytest.raises(ValueError, match=message):
+            SolverSettings(**controls)
+
+
+# Manufactured instances (alpha, eta, p, c, r, k) with closed-form solutions
+# (see the manufactured fixture).
+MANUFACTURED = [
+    (2.5, 0.5, 3.5, 1.0, 2.5, 1.0),    # shape of ex43
+    (2.05, 0.3, 1.5, 1.0, 1.5, 1.0),   # alpha near 2, p < 2
+    (2.2, 0.5, 4.0, 0.5, 2.5, 2.0),    # large p
+    (2.02, 0.5, 2.5, 1.0, 1.7, 1.0),   # alpha -> 2+
+]
+
+
+@pytest.mark.parametrize("instance", MANUFACTURED)
+def test_manufactured_solution_converges(manufactured, instance):
+    text, exact = manufactured(*instance)
+    errors = []
+    for panels in (64, 128):
+        report = picard_solve(problemfile.loads_problem(text(panels)).problem)
+        assert report.converged
+        u = report.solution
+        errors.append(float(np.max(np.abs(u.values - exact(u.partition.nodes)))))
+    # largest error about 5e-4 at 128 panels, lowest observed order about 1.5
+    assert errors[1] <= 1e-3
+    assert math.log2(errors[0] / errors[1]) >= 1.4
 
 
 def test_picard_ex41_fixed_point_is_zero():

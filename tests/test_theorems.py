@@ -8,7 +8,6 @@ from plbvp.exprlang import parse
 from plbvp.solver import Discretization, Problem, picard_solve
 from plbvp.specialfn import gamma
 from plbvp.theorems import (
-    _golden_max_1d,
     box_maximum,
     box_minimum,
     check_contraction_large_p,
@@ -97,6 +96,19 @@ def test_underflowing_phi_q_of_a_integral_is_a_value_error():
         lambda1(pb)
 
 
+@pytest.mark.parametrize("a", ["1e-155", "1e-156"])
+def test_lambda1_too_small_to_invert_is_a_value_error(a):
+    # phi_q(int_0^1 a) = a^2 is subnormal: positive, but 1 / it overflows
+    with pytest.raises(ValueError, match="too small to invert.*Lambda_1 is undefined"):
+        lambda1(_problem(a=a, p=1.5))
+
+
+@pytest.mark.parametrize("a", ["1e-155", "1e-156"])
+def test_lambda2_too_small_to_invert_is_a_value_error(a):
+    with pytest.raises(ValueError, match="too small to invert.*Lambda_2 is undefined"):
+        lambda2(_problem(a=a, p=1.5), 0.5)
+
+
 def test_lambda1_closed_form_at_coarse_quadrature():
     # int_0^1 Phi is taken in closed form, so a rule too coarse for Phi,
     # nearly singular at s = 1 for alpha = 2.1, does not matter when a == 1
@@ -120,9 +132,32 @@ def test_box_extrema_interior_refinement():
     assert at[0] == pytest.approx(0.5, abs=1e-4)
 
 
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_max_1d(fn, lo, hi, iters=60):
+    """Golden-section maximization of a 1d slice, as box_maximum refined
+    before its pattern search."""
+    a, b = lo, hi
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = fn(d)
+    x = c if fc >= fd else d
+    return x, max(fc, fd)
+
+
 def _three_round_box_maximum(fn, t_range, u_range, lattice=201):
-    """box_maximum as it was before its refinement loop could stop early:
-    always three rounds of golden-section search."""
+    """The reference search: the lattice, then three rounds of golden-section
+    search in t and in u within one cell of the best point."""
     t_lo, t_hi = t_range
     u_lo, u_hi = u_range
     ts = np.linspace(t_lo, t_hi, lattice)
@@ -161,13 +196,32 @@ _BOX_CASES = {
 @pytest.mark.parametrize("lattice", [201, 11])
 @pytest.mark.parametrize("case", sorted(_BOX_CASES))
 def test_box_extrema_equal_three_round_search(case, lattice):
+    # at least as good as the reference on both boxes, up to rounding: equal
+    # on the smooth cases, better on the ridge (pinned below)
     fn = _BOX_CASES[case]
-    box = ((0.0, 1.0), (0.0, 2.0))
-    assert box_maximum(fn, *box, lattice=lattice) == \
-        _three_round_box_maximum(fn, *box, lattice=lattice)
     neg = lambda t, u: -np.asarray(fn(t, u), float)
-    value, at = _three_round_box_maximum(neg, *box, lattice=lattice)
-    assert box_minimum(fn, *box, lattice=lattice) == (-value, at)
+    for box in (((0.0, 1.0), (0.0, 2.0)), ((0.0, 1.0), (0.0, 100.0))):
+        ref, _ = _three_round_box_maximum(fn, *box, lattice=lattice)
+        value, _ = box_maximum(fn, *box, lattice=lattice)
+        assert value >= ref - 1e-15 * max(1.0, abs(ref))
+        ref, _ = _three_round_box_maximum(neg, *box, lattice=lattice)
+        value, _ = box_minimum(fn, *box, lattice=lattice)
+        assert value <= -ref + 1e-15 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("lattice, u_hi, ref_below, at_least", [
+    (11, 2.0, -1e-3, -1e-30),
+    (201, 100.0, -4e-2, -1e-8),
+])
+def test_box_maximum_gains_on_a_ridge(lattice, u_hi, ref_below, at_least):
+    # the coordinate searches creep along the ridge; the pattern search
+    # moves along it (the maximum is 0, at t = u = 0.65)
+    fn = _BOX_CASES["ridge"]
+    box = ((0.0, 1.0), (0.0, u_hi))
+    assert _three_round_box_maximum(fn, *box, lattice=lattice)[0] < ref_below
+    value, at = box_maximum(fn, *box, lattice=lattice)
+    assert at_least <= value <= 0.0
+    assert at == pytest.approx((0.65, 0.65), abs=1e-4)
 
 
 def test_box_refinement_stops_after_a_round_without_moves():
@@ -178,10 +232,24 @@ def test_box_refinement_stops_after_a_round_without_moves():
         return t + u
 
     box_maximum(fn, (0.0, 1.0), (0.0, 2.0))
-    # one lattice call, then one round of two 62-call golden searches
+    # one lattice call; then no step finds a higher value than the corner, so
+    # the pattern shrinks by quarters from one cell to 1e-12 of one, in
+    # array calls only
     assert calls[0] == (201, 201)
-    assert len(calls) - 1 <= 124
-    assert all(shape == () for shape in calls[1:])
+    assert 1 <= len(calls) - 1 <= 21
+    assert all(shape == (9, 9) for shape in calls[1:])
+
+
+def test_box_extrema_with_a_degenerate_t_range():
+    fn = lambda t, u: np.sin(3.0 * u) * (1.0 + t)
+    value, at = box_maximum(fn, (0.5, 0.5), (0.0, 2.0))
+    assert at[0] == 0.5
+    assert value == pytest.approx(1.5, abs=1e-12)
+    assert at[1] == pytest.approx(math.pi / 6.0, abs=1e-6)
+    value, at = box_minimum(fn, (0.5, 0.5), (0.0, 2.0))
+    assert at[0] == 0.5
+    assert value == pytest.approx(-1.5, abs=1e-12)
+    assert at[1] == pytest.approx(math.pi / 2.0, abs=1e-6)
 
 
 def test_box_extrema_bracketed_under_refinement():
