@@ -8,7 +8,10 @@ weight (1 - x)^a on [-1, 1]; together they make the product-integration
 rule of :class:`plbvp.solver.KernelAssembly`.  :class:`GridFunction`
 interpolates by the one rule of this package, a numpy Fritsch-Carlson PCHIP
 (SIAM J. Numer. Anal. 17, 1980) with the slopes of Moler's ``pchip``, and
-:func:`cumulative` is its exact integral.
+:func:`cumulative` is its exact integral.  :class:`FixedPoints` evaluates
+such cubics at points placed on the partition once, which is how
+``KernelAssembly`` samples the running integral in every operator
+application.
 """
 
 from dataclasses import dataclass
@@ -20,6 +23,7 @@ __all__ = [
     "QuadratureError",
     "Partition",
     "GridFunction",
+    "FixedPoints",
     "graded_edges",
     "gauss_rule",
     "jacobi_rule",
@@ -173,11 +177,11 @@ class Partition:
         return self.nodes.size - 1
 
 
-def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Fritsch-Carlson node slopes: inside, the weighted harmonic mean of the
-    neighbouring secants, zero where they change sign or one vanishes; at
-    the ends, the one-sided three-point formula kept shape-preserving."""
-    h = np.diff(x)
+def _pchip_slopes(h: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Fritsch-Carlson node slopes for panel widths h: inside, the weighted
+    harmonic mean of the neighbouring secants, zero where they change sign or
+    one vanishes; at the ends, the one-sided three-point formula kept
+    shape-preserving."""
     m = np.diff(y) / h
     d = np.zeros_like(y)
     inner = np.sign(m[:-1]) * np.sign(m[1:]) > 0.0
@@ -193,17 +197,50 @@ def _pchip_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d
 
 
-def _hermite(x: np.ndarray, y: np.ndarray, d: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Cubic Hermite interpolant with node values y and slopes d at xi, in
-    powers of xi - x[k]; the end cubics extend outside [x[0], x[-1]]."""
-    h = np.diff(x)
-    secant = np.diff(y) / h
-    t = (d[:-1] + d[1:] - 2.0 * secant) / h
-    c2 = (secant - d[:-1]) / h - t
-    c3 = t / h
-    k = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, h.size - 1)
-    s = xi - x[k]
-    return y[k] + d[k] * s + c2[k] * (s * s) + c3[k] * (s * s * s)
+def _running_integral(h: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Integral from 0 to each node of the cubic Hermite interpolant with node
+    values y and slopes d on panels of widths h: a panel contributes
+    h (y0 + y1) / 2 + h^2 (d0 - d1) / 12."""
+    panel = 0.5 * (y[1:] + y[:-1]) * h
+    panel += h * h * (d[:-1] - d[1:]) / 12.0
+    return np.concatenate([[0.0], np.cumsum(panel)])
+
+
+class FixedPoints:
+    """Points xi placed once on the partition with nodes x, so that cubics on
+    it evaluate there without a search.
+
+    It keeps the panel widths, the cell k of each point and the offsets s,
+    s * s and s * s * s of each point from x[k].  Points outside [x[0], x[-1]]
+    fall in the end cells, whose cubics extend there.
+    """
+
+    def __init__(self, x: np.ndarray, xi: np.ndarray):
+        self.widths = np.diff(x)
+        self.cell = np.clip(np.searchsorted(x, xi, side="right") - 1, 0,
+                            self.widths.size - 1)
+        s = xi - x[self.cell]
+        self.offsets = (s, s * s, s * s * s)
+
+    def hermite(self, y: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """Cubic Hermite interpolant with node values y and slopes d at the
+        points, in powers of the offsets."""
+        h = self.widths
+        secant = np.diff(y) / h
+        t = (d[:-1] + d[1:] - 2.0 * secant) / h
+        c2 = (secant - d[:-1]) / h - t
+        c3 = t / h
+        k = self.cell
+        s, ss, sss = self.offsets
+        return y[k] + d[k] * s + c2[k] * ss + c3[k] * sss
+
+    def running_integral(self, y: np.ndarray) -> np.ndarray:
+        """F = int_0^x of the PCHIP of node values y, at the points: the PCHIP
+        of the node values of :func:`cumulative`, without building a
+        :class:`GridFunction`."""
+        h = self.widths
+        F = _running_integral(h, y, _pchip_slopes(h, y))
+        return self.hermite(F, _pchip_slopes(h, F))
 
 
 @dataclass(frozen=True)
@@ -242,11 +279,11 @@ class GridFunction:
 
     @cached_property
     def _slopes(self) -> np.ndarray:
-        return _pchip_slopes(self.partition.nodes, self.values)
+        return _pchip_slopes(np.diff(self.partition.nodes), self.values)
 
     def __call__(self, x):
-        out = _hermite(self.partition.nodes, self.values, self._slopes,
-                       np.asarray(x, dtype=float))
+        out = FixedPoints(self.partition.nodes, np.asarray(x, dtype=float)).hermite(
+            self.values, self._slopes)
         return float(out) if np.ndim(x) == 0 else out
 
     def with_values(self, values) -> "GridFunction":
@@ -260,10 +297,7 @@ def cumulative(g: GridFunction) -> GridFunction:
     """Running integral F(x) = int_0^x of the interpolant of g, at the nodes.
 
     F(0) = 0 and F is nondecreasing whenever g >= 0, by the shape
-    preservation of the PCHIP.  A panel of width h contributes
-    h (y0 + y1) / 2 + h^2 (d0 - d1) / 12.
+    preservation of the PCHIP.
     """
-    h = np.diff(g.partition.nodes)
-    panel = 0.5 * (g.values[1:] + g.values[:-1]) * h
-    panel += h * h * (g._slopes[:-1] - g._slopes[1:]) / 12.0
-    return GridFunction(g.partition, np.concatenate([[0.0], np.cumsum(panel)]))
+    return GridFunction(g.partition, _running_integral(np.diff(g.partition.nodes),
+                                                       g.values, g._slopes))

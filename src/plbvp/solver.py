@@ -1,4 +1,4 @@
-"""Grid evaluation of the kernel integral operator and Picard iteration.
+"""Grid evaluation of the kernel integral operator and its fixed-point iteration.
 
 The fixed-point operator maps a nonnegative grid function u to
 
@@ -15,9 +15,15 @@ with I^beta the Riemann-Liouville fractional integral, so the operator needs
 one quadrature of I^beta only.  :class:`KernelAssembly` holds it as a fixed
 product-integration rule on the partition, which makes each application a
 matrix-vector product with the lower part of the weight matrix, stored in
-blocks of rows.  A :class:`Problem` builds the rule once per partition
-(:meth:`Problem.assembly`) and shares it between the Picard loop, every
-:func:`apply_operator` call and the verifier.
+blocks of rows.
+
+A :class:`Problem` builds one operator plan per partition and shares it
+between the solve, every :func:`apply_operator` call and the verifier: the
+rule, which also fixes the panel widths and the PCHIP cell and offsets
+s, s^2, s^3 of each of its sample points, and a(t) at the nodes.  One
+application then evaluates f at the nodes, integrates the density panel by
+panel and evaluates the PCHIP of F at the sample points without a search,
+with values bit for bit those of ``cumulative`` and ``GridFunction``.
 """
 
 import math
@@ -29,7 +35,7 @@ from . import exprlang
 from .exprlang import Expr
 from .greens import KernelParams
 from .plaplacian import conjugate, phi
-from .quadrature import GridFunction, Partition, cumulative, jacobi_rule, panel_rule
+from .quadrature import FixedPoints, GridFunction, Partition, jacobi_rule, panel_rule
 
 __all__ = [
     "Discretization",
@@ -59,6 +65,11 @@ BLOCK_ROWS = 32
 LATTICE = 201
 WIDE_U_MAX = 100.0
 SAMPLING_SLACK = 1e-12
+
+# Differences of iterates and residuals that picard_solve's Anderson step
+# mixes.  Over 91 scan instances at 128 panels, memory 2 took 509 iterations
+# in all, memory 3 took 528 and memory 5 took 552.
+MEMORY = 2
 
 
 class SolverError(RuntimeError):
@@ -145,35 +156,54 @@ class Problem:
     def partition(self) -> Partition:
         return self.discretization.partition()
 
-    def assembly(self, partition: Partition) -> "KernelAssembly":
-        """The fractional-integral rule of this problem on partition.
+    def _plan(self, partition: Partition) -> tuple:
+        """The operator plan on partition: its :class:`KernelAssembly` and
+        a(t) at its nodes.
 
         It is built on first use and kept on the problem, keyed by the
         partition's nodes, so that the solve, every operator application and
-        the verification on one partition share one rule; only the latest
-        rule is kept.  ``_assembly`` is not a field: equality, hashing and
-        repr ignore it, and pickling and copying leave it out.
+        the verification on one partition share one plan; only the latest
+        plan is kept.  ``_kept_plan`` is not a field: equality, hashing and repr
+        ignore it, and pickling and copying leave it out.
         """
-        rule = self.__dict__.get("_assembly")
-        if rule is None or not np.array_equal(rule.partition.nodes, partition.nodes):
+        plan = self.__dict__.get("_kept_plan")
+        if plan is None or not np.array_equal(plan[0].partition.nodes, partition.nodes):
             rule = KernelAssembly(self.kernel_params, partition,
                                   self.discretization.points_per_panel)
-            object.__setattr__(self, "_assembly", rule)
-        return rule
+            plan = (rule, exprlang.evaluate(self.a, t=partition.nodes))
+            object.__setattr__(self, "_kept_plan", plan)
+        return plan
 
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_assembly"}
+        return {k: v for k, v in self.__dict__.items() if k != "_kept_plan"}
 
     def density(self, u: GridFunction) -> GridFunction:
         """Sample a(t) f(t, u(t)) at the partition nodes."""
         ts = u.partition.nodes
-        uv = np.maximum(u.values, 0.0)
-        return u.with_values(exprlang.evaluate(self.a, t=ts)
-                             * exprlang.evaluate(self.f, t=ts, u=uv))
+        return u.with_values(self._density(exprlang.evaluate(self.a, t=ts), ts, u.values))
+
+    def _density(self, a_nodes, ts: np.ndarray, values: np.ndarray) -> np.ndarray:
+        return a_nodes * exprlang.evaluate(self.f, t=ts, u=np.maximum(values, 0.0))
+
+    def _integrand(self, partition: Partition, values: np.ndarray) -> tuple:
+        """The kept rule on partition, and phi_q(F) at its sample points for
+        the nodal values of u, with F = int_0^s a f(., u): the density-to-F
+        path that the solver and the verifier share."""
+        rule, a_nodes = self._plan(partition)
+        density = self._density(a_nodes, partition.nodes, values)
+        return rule, rule.integrand(self.q, density)
 
 
 @dataclass(frozen=True)
 class SolverSettings:
+    """Controls of :func:`picard_solve`.
+
+    tol bounds both the last gap and the residual; damping is the mixing
+    parameter beta of the Anderson step (memory MEMORY = 2; Walker & Ni,
+    SIAM J. Numer. Anal. 49, 2011), and with no history the step is the
+    damped Picard step (1 - beta) u + beta A u.
+    """
+
     tol: float = 1e-10
     max_iter: int = 80
     damping: float = 1.0
@@ -189,7 +219,7 @@ class SolverSettings:
 
 @dataclass
 class SolveReport:
-    """Outcome of a Picard run."""
+    """Outcome of a fixed-point run; damping_used is its mixing parameter."""
 
     solution: GridFunction
     iterations: int
@@ -198,8 +228,9 @@ class SolveReport:
     converged: bool
     damping_used: float
     # The existence theorems guarantee a fixed point but prescribe no
-    # iteration; convergence of damped Picard is heuristic unless a
-    # contraction certificate holds for the same problem.
+    # iteration, so convergence of the mixed iteration is heuristic.  A
+    # contraction certificate for the same problem makes the fixed point
+    # unique, and plain Picard iteration converge to it geometrically.
     convergence_basis: str = "heuristic-picard"
 
 
@@ -222,8 +253,11 @@ class KernelAssembly:
     (tau - s)^(beta - 1) / Gamma(beta) on the cells wholly below tau, and
     zeros right of them.  Only the lower part is stored, about half of the
     matrix: blocks of BLOCK_ROWS consecutive rows, each with the columns left
-    of its last tail cell.  :meth:`Problem.assembly` builds one rule per
-    problem and partition and reuses it.
+    of its last tail cell.  The rule also places its sample points on the
+    partition once (:class:`plbvp.quadrature.FixedPoints`), so that
+    :meth:`integrand` samples the running integral of a nodal density
+    without a search.  A :class:`Problem` builds one rule per partition and
+    reuses it.
     """
 
     def __init__(self, kp: KernelParams, partition: Partition, points: int = 4):
@@ -277,11 +311,22 @@ class KernelAssembly:
         self._shared = x.size
         self._tail_w = tail_w
         self._points = np.concatenate([x, tail_x.ravel()])
+        self._at_points = FixedPoints(nodes, self._points)
+
+    def integrand(self, q: float, h: np.ndarray) -> np.ndarray:
+        """phi_q(F) at the sample points, where F(s) = int_0^s of the PCHIP
+        of the nodal values h: ``apply_to(lambda s: phi(q, F(s)))`` with
+        ``F = cumulative(h)``, bit for bit, from the cells and offsets of the
+        points fixed at construction."""
+        return phi(q, self._at_points.running_integral(h))
 
     def _integrals(self, g) -> np.ndarray:
         """I^beta g at every target: t_1..t_N (beta = alpha), then 1 and eta
         (beta = alpha - 1)."""
-        samples = np.asarray(g(self._points), dtype=float)
+        if isinstance(g, np.ndarray):
+            samples = g
+        else:
+            samples = np.asarray(g(self._points), dtype=float)
         shared = samples[:self._shared]
         tails = samples[self._shared:].reshape(self._tail_w.shape)
         rows = np.concatenate([b @ shared[:b.shape[1]] for b in self._blocks])
@@ -289,7 +334,10 @@ class KernelAssembly:
 
     def fractional_integral(self, g) -> np.ndarray:
         """I^alpha g(t_i) = int_0^t_i (t_i - s)^(alpha-1) g(s) ds / Gamma(alpha)
-        at every partition node."""
+        at every partition node.
+
+        Here and in :meth:`apply_to`, g is a callable on arrays or the array
+        of its samples that :meth:`integrand` returns."""
         return np.concatenate([[0.0], self._integrals(g)[:-2]])
 
     def apply_to(self, g) -> np.ndarray:
@@ -303,8 +351,7 @@ class KernelAssembly:
 def _integral_operator(assembly: KernelAssembly, q: float,
                        h: GridFunction) -> GridFunction:
     """int_0^1 K(t, s) phi_q(F(s)) ds at the nodes of h, F = cumulative(h)."""
-    F = cumulative(h)
-    return h.with_values(assembly.apply_to(lambda s: phi(q, F(s))))
+    return h.with_values(assembly.apply_to(assembly.integrand(q, h.values)))
 
 
 def kernel_route(kp: KernelParams, q: float, h: GridFunction,
@@ -317,25 +364,38 @@ def kernel_route(kp: KernelParams, q: float, h: GridFunction,
     return _integral_operator(KernelAssembly(kp, h.partition, points), q, h)
 
 
+def _apply(pb: Problem, partition: Partition, values: np.ndarray) -> np.ndarray:
+    """A u at the nodes, for the nodal values of a nonnegative u."""
+    rule, g = pb._integrand(partition, values)
+    return rule.apply_to(g)
+
+
 def apply_operator(pb: Problem, u: GridFunction) -> GridFunction:
     """One application of the integral operator A to a nonnegative iterate."""
     if float(np.min(u.values)) < -SAMPLING_SLACK:
         raise SolverError(
             f"iterate is negative (min {float(np.min(u.values))}); "
             "the operator is only defined on the nonnegative cone")
-    return _integral_operator(pb.assembly(u.partition), pb.q, pb.density(u))
+    return u.with_values(_apply(pb, u.partition, u.values))
 
 
 def picard_solve(pb: Problem, u0: GridFunction | None = None,
                  tol: float = SolverSettings.tol, max_iter: int = SolverSettings.max_iter,
                  damping: float = SolverSettings.damping) -> SolveReport:
-    """Damped Picard iteration u_{k+1} = (1 - w) u_k + w A u_k.
+    """Fixed-point iteration for u = A u, Anderson-mixed (type II, Walker & Ni,
+    SIAM J. Numer. Anal. 49, 2011) and kept on the nonnegative cone.
 
-    Convergence requires both the successive sup-norm gap and the residual
-    sup|u - A u| to fall below tol.  A gap sequence that stops contracting
-    switches the damping to 0.5 once (plain Picard may cycle when no
-    contraction bound holds).  Non-convergence within max_iter returns a
-    report with converged = False rather than raising.
+    With iterate x, residual f = A x - x and the last MEMORY differences dX
+    and dF of iterates and residuals, the step is
+
+        x+ = max(x + beta f - (dX + beta dF) gamma, 0),
+        gamma = argmin ||f - dF gamma||_2,
+
+    with beta = damping.  The first step, with no history, is the damped
+    Picard step x + beta (A x - x).  Convergence requires both the
+    successive sup-norm gap and the residual sup|u - A u| to fall below tol.
+    Non-convergence within max_iter returns a report with converged = False
+    rather than raising.
     """
     SolverSettings(tol, max_iter, damping)  # range checks
     if u0 is None:
@@ -343,38 +403,37 @@ def picard_solve(pb: Problem, u0: GridFunction | None = None,
     if float(np.min(u0.values)) < -SAMPLING_SLACK:
         raise SolverError("u0 must be nonnegative")
 
-    omega = damping
+    partition = u0.partition
+    x = u0.values
+    f = _apply(pb, partition, x) - x
+    residual = float(np.max(np.abs(f)))
+    dxs: list[np.ndarray] = []
+    dfs: list[np.ndarray] = []
     diffs: list[float] = []
-    u = u0
-    au = apply_operator(pb, u)
-    residual = float(np.max(np.abs(au.values - u.values)))
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        new_values = (1.0 - omega) * u.values + omega * au.values
-        if float(np.min(new_values)) < -SAMPLING_SLACK:
-            raise SolverError(
-                f"iteration {iterations} left the nonnegative cone "
-                f"(min {float(np.min(new_values))})")
-        new = u.with_values(np.maximum(new_values, 0.0))
-        gap = float(np.max(np.abs(new.values - u.values)))
+        step = x + damping * f
+        if dxs:
+            dx, df = np.column_stack(dxs), np.column_stack(dfs)
+            gamma = np.linalg.lstsq(df, f, rcond=None)[0]
+            step -= (dx + damping * df) @ gamma
+        new = np.maximum(step, 0.0)
+        f_new = _apply(pb, partition, new) - new
+        gap = float(np.max(np.abs(new - x)))
         diffs.append(gap)
-        au_new = apply_operator(pb, new)
-        res_new = float(np.max(np.abs(au_new.values - new.values)))
-        u, au, residual = new, au_new, res_new
-        if gap <= tol and res_new <= tol:
+        residual = float(np.max(np.abs(f_new)))
+        dxs = (dxs + [new - x])[-MEMORY:]
+        dfs = (dfs + [f_new - f])[-MEMORY:]
+        x, f = new, f_new
+        if gap <= tol and residual <= tol:
             converged = True
             break
-        # plain Picard can cycle when no contraction bound holds; a gap
-        # sequence that stopped contracting (growing or ~constant over two
-        # steps) switches to averaged iterates once
-        if omega > 0.5 and len(diffs) >= 3 and diffs[-1] >= 0.95 * diffs[-3]:
-            omega = 0.5
     return SolveReport(
-        solution=u,
+        solution=u0.with_values(x),
         iterations=iterations,
         successive_diffs=diffs,
         residual=residual,
         converged=converged,
-        damping_used=omega,
+        damping_used=damping,
     )

@@ -2,10 +2,11 @@
 
 A true solution satisfies u(t) = u(0) - I^alpha[phi_q(F)](t) with
 F(s) = int_0^s a f(., u), where I^alpha is the fractional integral of order
-alpha.  This module evaluates that identity with the solver's own
-fractional-integral quadrature (:class:`plbvp.solver.KernelAssembly`),
-checks the three boundary conditions by one-sided finite differences, and
-measures the cone inequality min_[0,rho] u >= gamma ||u||.  Because the
+alpha.  This module evaluates that identity by the solver's own code path,
+on the problem's kept operator plan (:class:`plbvp.solver.KernelAssembly`
+and a(t) at the nodes), checks the three boundary conditions by one-sided
+finite differences, and measures the cone inequality
+min_[0,rho] u >= gamma ||u||.  Because the
 integral-form residual reuses the solver's discretization, it confirms
 the fixed point of that discretization and cannot see its error.
 
@@ -19,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .greens import cone_gamma
-from .plaplacian import phi
-from .quadrature import GridFunction, cumulative
+from .quadrature import GridFunction
 from .solver import SAMPLING_SLACK, Problem
 
 __all__ = [
@@ -83,9 +83,8 @@ def integral_form_residual(pb: Problem, u: GridFunction) -> float:
     """Sup-norm of r(t) = u(t) - u(0) + I^alpha[phi_q(F)](t) over the nodes."""
     if float(np.min(u.values)) < -SAMPLING_SLACK:
         raise ValueError("u must be nonnegative")
-    F = cumulative(pb.density(u))
-    ialpha = pb.assembly(u.partition).fractional_integral(lambda s: phi(pb.q, F(s)))
-    r = u.values - u.values[0] + ialpha
+    rule, g = pb._integrand(u.partition, u.values)
+    r = u.values - u.values[0] + rule.fractional_integral(g)
     return float(np.max(np.abs(r)))
 
 
@@ -95,6 +94,13 @@ def boundary_residuals(pb: Problem, u: GridFunction) -> tuple:
     Derivatives at the ends come from one-sided 4-node stencils; u'(eta)
     from the 4 nodes nearest eta (polynomial interpolation differentiated
     at eta).
+
+    These residuals measure the stencils, not the solution.  The integral
+    form meets all three conditions by construction: u'(0) = -I^(alpha-1)
+    g(0) = 0, u''(0) = -I^(alpha-2) g(0) = 0, and u(1) + u'(1) - u'(eta) = 0
+    by the definition of C0.  So on a solver solution the values show how
+    well 4-point stencils differentiate the nodal values: |u''(0)| reads
+    8.1e-4, 2.9e-4 and 1.0e-4 on ex43 at 128, 256 and 512 panels.
     """
     nodes = u.partition.nodes
     if nodes.size < MIN_BOUNDARY_NODES:
@@ -120,22 +126,24 @@ def _dense_points(nodes: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 def cone_check(pb: Problem, u: GridFunction, rho: float) -> float:
     """Slack min_[0, rho] u - gamma * sup u; nonnegative for true solutions."""
+    return _cone_slack(pb, u, rho, u(_dense_points(u.partition.nodes, 0.0, 1.0)))
+
+
+def _cone_slack(pb: Problem, u: GridFunction, rho: float, dense: np.ndarray) -> float:
+    """cone_check, given u on the dense grid of [0, 1]."""
     if float(np.min(u.values)) < -SAMPLING_SLACK:
         raise ValueError("u must be nonnegative")
     gam = cone_gamma(pb.kernel_params, rho)
-    nodes = u.partition.nodes
-    head = u(_dense_points(nodes, 0.0, rho))
-    full = u(_dense_points(nodes, 0.0, 1.0))
-    return float(np.min(head) - gam * np.max(np.abs(full)))
+    head = u(_dense_points(u.partition.nodes, 0.0, rho))
+    return float(np.min(head) - gam * np.max(np.abs(dense)))
 
 
 def verification_report(pb: Problem, u: GridFunction, rho: float) -> VerificationReport:
-    nodes = u.partition.nodes
-    dense = u(_dense_points(nodes, 0.0, 1.0))
+    dense = u(_dense_points(u.partition.nodes, 0.0, 1.0))
     return VerificationReport(
         integral_form_residual=integral_form_residual(pb, u),
         bc_residuals=boundary_residuals(pb, u),
         positivity_min=float(np.min(dense)),
-        cone_slack=cone_check(pb, u, rho),
+        cone_slack=_cone_slack(pb, u, rho, dense),
         sup_norm=float(np.max(np.abs(dense))),
     )
