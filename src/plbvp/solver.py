@@ -138,8 +138,7 @@ class Problem:
             i = int(np.argmin(avals))
             raise ValueError(f"a(t) is negative: a({ts[i]}) = {avals[i]}")
         us = np.linspace(0.0, WIDE_U_MAX, LATTICE)
-        tg, ug = np.meshgrid(ts, us, indexing="ij")
-        fvals = exprlang.evaluate(self.f, t=tg, u=ug)
+        fvals = exprlang.evaluate(self.f, t=ts[:, None], u=us[None, :])
         if np.min(fvals) < -SAMPLING_SLACK:
             i, j = np.unravel_index(int(np.argmin(fvals)), fvals.shape)
             raise ValueError(

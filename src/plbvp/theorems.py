@@ -11,6 +11,14 @@ Sampling makes these semi-decisions: a violated inequality is certified
 exactly by its witness point, while a satisfied one is certified only up to
 the lattice density (201 x 201, then a pattern search around the best
 point; see :func:`box_maximum`).  Reports record the lattice used.
+
+The lattice is sampled in one call on a 201 x 1 column of t and a 1 x 201
+row of u, so a subexpression in t alone is evaluated 201 times, not
+201 x 201.  The pattern search samples the steps that follow the best
+point so far in one batch, one 9 x 9 pattern per shrink level, until a
+level finds a higher value.  A batch also samples levels beyond that move,
+so f must be defined on the whole of each box it is checked on; the moves,
+values and witnesses are those of a search with one call per step.
 """
 
 import math
@@ -139,39 +147,74 @@ def lambda2(pb: Problem, rho: float) -> float:
     return 1.0 / value
 
 
+def _patterns(centre, lo, hi, halves):
+    """Row k is np.linspace(max(lo, centre - h), min(hi, centre + h),
+    PATTERN) for h = halves[k], bit for bit unless a width is nonzero but
+    below 1e-322, in half the time np.linspace takes on arrays."""
+    start = np.array([max(lo, centre - h) for h in halves])
+    stop = np.array([min(hi, centre + h) for h in halves])
+    rows = start[:, None] + np.arange(PATTERN) * ((stop - start) / (PATTERN - 1))[:, None]
+    rows[:, -1] = stop
+    return rows
+
+
 def box_maximum(fn, t_range, u_range, lattice: int = LATTICE):
     """Max of fn(t, u) over a box: dense lattice plus pattern search.
 
-    fn must accept numpy arrays and be deterministic.  Returns (value, (t, u)).
-    From the best lattice point, each step samples fn on a PATTERN x PATTERN
-    lattice over t +- ht, u +- hu within the box, from half-widths of one
-    cell: it moves to a strictly higher value, or else divides both by
-    SHRINK, until both are at most STOP cells or MAX_STEPS steps are taken.
+    fn must accept numpy arrays, broadcast them elementwise and be
+    deterministic.  Returns (value, (t, u)).  The lattice is one call on
+    (lattice, 1) and (1, lattice) arrays.  From the best lattice point, each
+    step samples fn on a PATTERN x PATTERN lattice over t +- ht, u +- hu
+    within the box, from half-widths of one cell: it moves to a strictly
+    higher value, or else divides both by SHRINK, until both are at most
+    STOP cells or MAX_STEPS steps are taken.
+
+    Until a step moves, the steps to come are fixed: the same centre, the
+    half-widths divided by SHRINK each time.  So one call samples all of
+    them as a batch of patterns, shaped (n, PATTERN, 1) and (n, 1, PATTERN),
+    and the first pattern whose maximum is above the best value so far is
+    the move, after k + 1 steps; the next batch starts from it.  The moves
+    and the result are those of one call per step, but a batch also
+    samples the patterns after a move, points in the box that a stepwise
+    search would skip: fn must be defined on the whole box.
     """
     t_lo, t_hi = t_range
     u_lo, u_hi = u_range
-
-    def sample(ts, us):
-        tg, ug = np.meshgrid(ts, us, indexing="ij")
-        vals = np.broadcast_to(np.asarray(fn(tg, ug), float), tg.shape)
-        i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        return float(vals[i, j]), ts[i], us[j]
-
-    best, best_t, best_u = sample(np.linspace(t_lo, t_hi, lattice),
-                                  np.linspace(u_lo, u_hi, lattice))
+    ts = np.linspace(t_lo, t_hi, lattice)
+    us = np.linspace(u_lo, u_hi, lattice)
+    vals = np.broadcast_to(np.asarray(fn(ts[:, None], us[None, :]), float),
+                           (ts.size, us.size))
+    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    best, best_t, best_u = float(vals[i, j]), ts[i], us[j]
     cell_t = (t_hi - t_lo) / (lattice - 1)
     cell_u = (u_hi - u_lo) / (lattice - 1)
     ht, hu = cell_t, cell_u
-    for _ in range(MAX_STEPS):
-        if ht <= STOP * cell_t and hu <= STOP * cell_u:
-            break
-        value, t, u = sample(
-            np.linspace(max(t_lo, best_t - ht), min(t_hi, best_t + ht), PATTERN),
-            np.linspace(max(u_lo, best_u - hu), min(u_hi, best_u + hu), PATTERN))
-        if value > best:
-            best, best_t, best_u = value, t, u
-        else:
+    steps = 0
+    while True:
+        hts, hus = [], []  # half-widths of the steps to come, if none moves
+        while (steps + len(hts) < MAX_STEPS
+               and not (ht <= STOP * cell_t and hu <= STOP * cell_u)):
+            hts.append(ht)
+            hus.append(hu)
             ht, hu = ht / SHRINK, hu / SHRINK
+        if not hts:
+            break
+        t_rows = _patterns(best_t, t_lo, t_hi, hts)
+        u_rows = _patterns(best_u, u_lo, u_hi, hus)
+        n = len(hts)
+        vals = np.broadcast_to(
+            np.asarray(fn(t_rows[:, :, None], u_rows[:, None, :]), float),
+            (n, PATTERN, PATTERN)).reshape(n, -1)
+        at = np.argmax(vals, axis=1)
+        tops = vals[np.arange(n), at]
+        above = np.flatnonzero(tops > best)
+        if above.size == 0:
+            break
+        k = int(above[0])
+        steps += k + 1
+        ht, hu = hts[k], hus[k]
+        i, j = divmod(int(at[k]), PATTERN)
+        best, best_t, best_u = float(tops[k]), t_rows[k, i], u_rows[k, j]
     return best, (float(best_t), float(best_u))
 
 

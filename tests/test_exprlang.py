@@ -287,6 +287,26 @@ def test_compiled_evaluation_matches_tree_walk(tree):
                 assert got[1] == want[1]
 
 
+_LATTICES = [(np.linspace(0.0, 1.0, 201), np.linspace(0.0, 100.0, 201)),
+             (np.linspace(-0.5, 2.0, 21), np.linspace(-2.0, 3.0, 21))]
+
+
+@given(tree=expr_trees)
+def test_broadcast_lattice_matches_meshgrid(tree):
+    # sampling on (n, 1) and (1, m) axes, as the theorem checks and the
+    # validation of a Problem do, gives the values or the first error with
+    # its witness of sampling on the full meshgrid
+    for ts, us in _LATTICES:
+        tg, ug = np.meshgrid(ts, us, indexing="ij")
+        want = _outcome(lambda: evaluate(tree, t=tg, u=ug))
+        got = _outcome(lambda: evaluate(tree, t=ts[:, None], u=us[None, :]))
+        assert got[0] == want[0]
+        if got[0] == "value":
+            np.testing.assert_array_equal(got[1], want[1], strict=True)
+        else:
+            assert got[1] == want[1]
+
+
 def test_array_domain_checks_are_elementwise():
     e = parse("pow(t - 0.5, u) + (t - 0.5)^u")
     ts, us = np.array([0.0, 1.0, 0.2]), np.array([2.0, 0.5, -3.0])

@@ -61,6 +61,25 @@ def test_problem_validation():
         _problem(a="t-1")
 
 
+@pytest.mark.parametrize("f, error, message", [
+    ("ln(u-50)+1", ExprEvalError,
+     "log of a nonpositive value in 'ln(u - 50.0)' at t=0.0, u=0.0"),
+    ("sqrt(t-0.3)*u", ExprEvalError,
+     "square root of a negative value in 'sqrt(t - 0.3)' at t=0.0, u=0.0"),
+    ("u^(t-0.5)", ExprEvalError,
+     "zero base with negative exponent in 'u^(t - 0.5)' at t=0.0, u=0.0"),
+    ("1/(u-37.5)", ExprEvalError,
+     "division by zero in '1.0/(u - 37.5)' at t=0.0, u=37.5"),
+    ("sin(10*t)*u", ValueError,
+     "f(t, u) is negative: f(0.47000000000000003, 100.0) = -99.99232575641008"),
+])
+def test_validation_diagnostics_name_the_first_lattice_point(f, error, message):
+    # the first offending point in (t, u) lattice order, or the argmin of f
+    with pytest.raises(error) as err:
+        _problem(f=f)
+    assert str(err.value) == message
+
+
 def test_zero_nonlinearity_gives_zero_operator():
     pb = _problem(f="0")
     u = GridFunction(pb.partition(), np.linspace(0.0, 1.0, pb.partition().nodes.size))

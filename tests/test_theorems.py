@@ -1,13 +1,20 @@
+import importlib.util
 import math
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from plbvp.cases import CASES
-from plbvp.exprlang import parse
+from plbvp.exprlang import evaluate, parse
 from plbvp.solver import Discretization, Problem, picard_solve
 from plbvp.specialfn import gamma
 from plbvp.theorems import (
+    MAX_STEPS,
+    PATTERN,
+    SHRINK,
+    STOP,
     box_maximum,
     box_minimum,
     check_contraction_large_p,
@@ -228,16 +235,14 @@ def test_box_refinement_stops_after_a_round_without_moves():
     calls = []
 
     def fn(t, u):
-        calls.append(np.shape(t))
+        calls.append((np.shape(t), np.shape(u)))
         return t + u
 
     box_maximum(fn, (0.0, 1.0), (0.0, 2.0))
     # one lattice call; then no step finds a higher value than the corner, so
-    # the pattern shrinks by quarters from one cell to 1e-12 of one, in
-    # array calls only
-    assert calls[0] == (201, 201)
-    assert 1 <= len(calls) - 1 <= 21
-    assert all(shape == (9, 9) for shape in calls[1:])
+    # the pattern shrinks by quarters from one cell to 1e-12 of one: all 20
+    # levels in one batch
+    assert calls == [((201, 1), (1, 201)), ((20, 9, 1), (20, 1, 9))]
 
 
 def test_box_extrema_with_a_degenerate_t_range():
@@ -260,6 +265,92 @@ def test_box_extrema_bracketed_under_refinement():
     m1, _ = box_minimum(fn, (0.0, 1.0), (0.0, 2.0), lattice=201)
     m2, _ = box_minimum(fn, (0.0, 1.0), (0.0, 2.0), lattice=401)
     assert abs(m2 - m1) < 1e-3 * (1.0 + abs(m1))
+
+
+def _stepwise_box_maximum(fn, t_range, u_range, lattice=201):
+    """The reference search: the meshgrid lattice, then one PATTERN x PATTERN
+    call per pattern-search step.  Returns (value, (t, u), steps)."""
+    t_lo, t_hi = t_range
+    u_lo, u_hi = u_range
+
+    def sample(ts, us):
+        tg, ug = np.meshgrid(ts, us, indexing="ij")
+        vals = np.broadcast_to(np.asarray(fn(tg, ug), float), tg.shape)
+        i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        return float(vals[i, j]), ts[i], us[j]
+
+    best, best_t, best_u = sample(np.linspace(t_lo, t_hi, lattice),
+                                  np.linspace(u_lo, u_hi, lattice))
+    cell_t = (t_hi - t_lo) / (lattice - 1)
+    cell_u = (u_hi - u_lo) / (lattice - 1)
+    ht, hu = cell_t, cell_u
+    steps = 0
+    for _ in range(MAX_STEPS):
+        if ht <= STOP * cell_t and hu <= STOP * cell_u:
+            break
+        steps += 1
+        value, t, u = sample(
+            np.linspace(max(t_lo, best_t - ht), min(t_hi, best_t + ht), PATTERN),
+            np.linspace(max(u_lo, best_u - hu), min(u_hi, best_u + hu), PATTERN))
+        if value > best:
+            best, best_t, best_u = value, t, u
+        else:
+            ht, hu = ht / SHRINK, hu / SHRINK
+    return best, (float(best_t), float(best_u)), steps
+
+
+def _assert_stepwise_extrema(fn, t_range, u_range, lattice=201):
+    # bit for bit: the same value and witness as one call per step
+    value, at, _ = _stepwise_box_maximum(fn, t_range, u_range, lattice)
+    assert box_maximum(fn, t_range, u_range, lattice) == (value, at)
+    value, at, _ = _stepwise_box_maximum(lambda t, u: -np.asarray(fn(t, u), float),
+                                         t_range, u_range, lattice)
+    assert box_minimum(fn, t_range, u_range, lattice) == (-value, at)
+
+
+_BOXES = (((0.0, 1.0), (0.0, 2.0)), ((0.0, 1.0), (0.0, 100.0)))
+
+
+@pytest.mark.parametrize("lattice", [201, 11])
+@pytest.mark.parametrize("case", sorted(_BOX_CASES))
+def test_box_extrema_equal_stepwise_search(case, lattice):
+    for box in _BOXES:
+        _assert_stepwise_extrema(_BOX_CASES[case], *box, lattice=lattice)
+
+
+def test_box_maximum_counts_steps_on_a_ridge():
+    # the stepwise search still moves when it meets the step guard, so a
+    # batch that counted other than k + 1 steps for a move at its level k
+    # would stop elsewhere
+    fn = _BOX_CASES["ridge"]
+    box = ((0.0, 1.0), (0.0, 100.0))
+    value, at, steps = _stepwise_box_maximum(fn, *box)
+    assert steps == MAX_STEPS
+    assert box_maximum(fn, *box) == (value, at)
+
+
+def test_box_extrema_equal_stepwise_search_on_a_degenerate_t_range():
+    fn = lambda t, u: np.sin(3.0 * u) * (1.0 + t)
+    _assert_stepwise_extrema(fn, (0.5, 0.5), (0.0, 2.0))
+    _assert_stepwise_extrema(fn, (0.5, 0.5), (0.5, 0.5))
+
+
+def _scan_batch_nonlinearities():
+    """f of the benchmark's scan batch of seed 0 (bench/oracle.py)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return [inst.problem(128).f for inst in oracle.scan_batch(np.random.default_rng(0))]
+
+
+def test_box_extrema_of_problem_nonlinearities_equal_stepwise_search():
+    fs = [case.problem.f for _, case in sorted(CASES.items())]
+    fs += _scan_batch_nonlinearities()
+    assert len(fs) > 3
+    for f in fs:
+        for box in _BOXES:
+            _assert_stepwise_extrema(partial(evaluate, f), *box)
 
 
 # --- theorem 3.3 ---------------------------------------------------------
