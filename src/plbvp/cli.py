@@ -29,7 +29,7 @@ from .problemfile import (
     load_problem,
 )
 from .quadrature import GridFunction, Partition, QuadratureError
-from .solver import Discretization, SolverError, picard_solve
+from .solver import SolverError, picard_solve
 from .specialfn import gamma
 from .theorems import (
     TheoremReport,
@@ -55,13 +55,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(lines, out_path) -> None:
-    text = "".join(f"{key} = {_fmt(value)}\n" for key, value in lines)
+def _write(text: str, out_path) -> None:
+    """Write text to the file out_path, or to stdout if there is none."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(lines, out_path) -> None:
+    _write("".join(f"{key} = {_fmt(value)}\n" for key, value in lines), out_path)
 
 
 def _problem_lines(config: ProblemConfig):
@@ -114,19 +118,16 @@ def _load_config(args) -> ProblemConfig:
 
 def _cmd_solve(args) -> int:
     config = _load_config(args)
-    settings = config.solver
-    tol = args.tol if args.tol is not None else settings.tol
-    max_iter = args.max_iter if args.max_iter is not None else settings.max_iter
-    damping = args.damping if args.damping is not None else settings.damping
-    report = picard_solve(config.problem, tol=tol, max_iter=max_iter, damping=damping)
-    csv_text = _solution_csv(report.solution)
+    flags = {name: getattr(args, name) for name in ("tol", "max_iter", "damping")}
+    settings = replace(config.solver, **{k: v for k, v in flags.items() if v is not None})
+    report = picard_solve(config.problem, tol=settings.tol, max_iter=settings.max_iter,
+                          damping=settings.damping)
+    _write(_solution_csv(report.solution), args.out)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
         lines = [("command", "solve"), ("problem", args.problem)]
         lines += _problem_lines(config)
         lines += [
-            ("tol", tol),
+            ("tol", settings.tol),
             ("iterations", report.iterations),
             ("residual", report.residual),
             ("sup_norm", report.solution.sup_norm()),
@@ -136,8 +137,6 @@ def _cmd_solve(args) -> int:
             ("verdict", "converged" if report.converged else "not_converged"),
         ]
         _emit(lines, None)
-    else:
-        sys.stdout.write(csv_text)
     return EXIT_OK if report.converged else EXIT_FAIL
 
 
@@ -231,12 +230,7 @@ def _cmd_dump(args) -> int:
         config = ProblemConfig(problem=case.problem, rho=case.rho)
     else:
         config = load_problem(args.source)
-    text = dump_problem(config)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(dump_problem(config), args.out)
     return EXIT_OK
 
 

@@ -4,7 +4,9 @@ The solution operator is an integral against K(t, s) = G(t, s) + H(eta, s),
 where G carries the fractional order alpha and H the order alpha - 1.  Both
 kernels are piecewise closed forms split along the diagonal s = t; at the
 seam the two branches agree, and the upper branch is evaluated there.  The
-envelope Phi(s) dominates K pointwise and equals G(s, s) + H(s, s).
+envelope Phi(s) dominates K pointwise and equals G(s, s) + H(s, s); its
+integral over [0, 1] is the constant that Lambda_1 and the bounds of
+Theorems 3.3 and 3.5 share.
 """
 
 import math
@@ -18,6 +20,7 @@ __all__ = [
     "h_kernel",
     "k_kernel",
     "phi_envelope",
+    "envelope_integral",
     "cone_gamma",
 ]
 
@@ -82,12 +85,7 @@ def h_kernel(kp: KernelParams, t, s):
 
 def k_kernel(kp: KernelParams, t, s):
     """Combined kernel K(t, s) = G(t, s) + H(eta, s); note the fixed eta slot."""
-    tv = _clip_unit("t", t)
-    sv = _clip_unit("s", s)
-    value = _branch(tv, sv, kp.alpha - 1.0, math.gamma(kp.alpha)) + _branch(
-        np.asarray(kp.eta), sv, kp.alpha - 2.0, math.gamma(kp.alpha - 1.0)
-    )
-    return _scalar_like(value, t, s)
+    return g_kernel(kp, t, s) + h_kernel(kp, kp.eta, s)
 
 
 def phi_envelope(kp: KernelParams, s):
@@ -99,6 +97,12 @@ def phi_envelope(kp: KernelParams, s):
     a = kp.alpha
     value = (a - sv) * (1.0 - sv) ** (a - 2.0) / math.gamma(a)
     return _scalar_like(value, s)
+
+
+def envelope_integral(kp: KernelParams) -> float:
+    """int_0^1 Phi = (alpha + 1) / Gamma(alpha + 1), in closed form: for alpha
+    near 2, Phi is nearly singular at s = 1 and a quadrature is inexact."""
+    return (kp.alpha + 1.0) / math.gamma(kp.alpha + 1.0)
 
 
 def cone_gamma(kp: KernelParams, rho: float) -> float:

@@ -172,10 +172,6 @@ class Partition:
         nodes[0], nodes[-1] = 0.0, 1.0
         return Partition(nodes)
 
-    @property
-    def panels(self) -> int:
-        return self.nodes.size - 1
-
 
 def _pchip_slopes(h: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Fritsch-Carlson node slopes for panel widths h: inside, the weighted
@@ -272,10 +268,6 @@ class GridFunction:
     @staticmethod
     def constant(partition: Partition, value: float) -> "GridFunction":
         return GridFunction(partition, np.full(partition.nodes.size, float(value)))
-
-    @staticmethod
-    def from_callable(partition: Partition, fn) -> "GridFunction":
-        return GridFunction(partition, np.asarray(fn(partition.nodes), dtype=float))
 
     @cached_property
     def _slopes(self) -> np.ndarray:

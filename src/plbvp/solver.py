@@ -100,10 +100,6 @@ class Discretization:
     def partition(self) -> Partition:
         return Partition.graded(self.panels, self.grading)
 
-    def refined(self, factor: int = 2) -> "Discretization":
-        return Discretization(self.panels * factor, self.points_per_panel,
-                              self.grading)
-
 
 @dataclass(frozen=True)
 class Problem:
@@ -208,8 +204,8 @@ class SolverSettings:
     damping: float = 1.0
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not 0.0 < self.damping <= 1.0:
@@ -347,12 +343,6 @@ class KernelAssembly:
         return c0 - np.concatenate([[0.0], rows[:-2]])
 
 
-def _integral_operator(assembly: KernelAssembly, q: float,
-                       h: GridFunction) -> GridFunction:
-    """int_0^1 K(t, s) phi_q(F(s)) ds at the nodes of h, F = cumulative(h)."""
-    return h.with_values(assembly.apply_to(assembly.integrand(q, h.values)))
-
-
 def kernel_route(kp: KernelParams, q: float, h: GridFunction,
                  points: int = 4) -> GridFunction:
     """Solution of the BVP with source density h via the kernel representation.
@@ -360,7 +350,8 @@ def kernel_route(kp: KernelParams, q: float, h: GridFunction,
     Computes int_0^1 K(t, s) phi_q(F(s)) ds with F = cumulative(h) at the
     partition nodes of h.
     """
-    return _integral_operator(KernelAssembly(kp, h.partition, points), q, h)
+    rule = KernelAssembly(kp, h.partition, points)
+    return h.with_values(rule.apply_to(rule.integrand(q, h.values)))
 
 
 def _apply(pb: Problem, partition: Partition, values: np.ndarray) -> np.ndarray:

@@ -5,7 +5,8 @@ Each checker computes every quantity entering the hypotheses of one theorem
 two contraction regimes) on a concrete problem, samples the required
 inequalities on f, and returns an auditable :class:`TheoremReport` with a
 hypotheses_hold / hypotheses_fail verdict.  int_0^1 Phi is taken in closed
-form, and every inequality on f over a box is sampled by :func:`_sampled`.
+form from :func:`plbvp.greens.envelope_integral`, and every inequality on f
+over a box is sampled by :func:`_sampled`.
 
 Sampling makes these semi-decisions: a violated inequality is certified
 exactly by its witness point, while a satisfied one is certified only up to
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import exprlang
 from .exprlang import Expr
-from .greens import cone_gamma, phi_envelope
+from .greens import cone_gamma, envelope_integral, phi_envelope
 from .plaplacian import phi
 from .quadrature import gauss_rule, integrate
 from .solver import LATTICE, SAMPLING_SLACK, WIDE_U_MAX, Problem
@@ -88,12 +89,6 @@ class TheoremReport:
     def verdict(self) -> str:
         return HOLDS if self.holds else FAILS
 
-    def failure_witness(self) -> InequalityCheck | None:
-        for c in self.checks:
-            if not c.holds:
-                return c
-        return None
-
 
 def _a_integral(pb: Problem) -> float:
     d = pb.discretization
@@ -110,16 +105,15 @@ def _positive_a_integral(pb: Problem, constant: str) -> float:
     return ia
 
 
-def _envelope_integral(pb: Problem) -> float:
-    """int_0^1 Phi = (alpha + 1) / Gamma(alpha + 1), in closed form: for alpha
-    near 2, Phi is nearly singular at s = 1 and a quadrature is inexact."""
-    return (pb.alpha + 1.0) / gamma(pb.alpha + 1.0)
+def _positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 def lambda1(pb: Problem) -> float:
     """Lambda_1 = ( phi_q(int_0^1 a) * int_0^1 Phi )^(-1)."""
     ia = _positive_a_integral(pb, "Lambda_1")
-    denominator = phi(pb.q, ia) * _envelope_integral(pb)
+    denominator = phi(pb.q, ia) * envelope_integral(pb.kernel_params)
     if not (denominator > 0.0 and math.isfinite(1.0 / denominator)):
         raise ValueError(f"phi_q(int_0^1 a) underflows to 0 or is too small to invert "
                          f"(int_0^1 a = {ia!r}), so Lambda_1 is undefined")
@@ -239,11 +233,10 @@ def _sampled(name: str, fn, t_range, u_range, bound: float, upper: bool):
 def check_leray_schauder(pb: Problem, nu: float) -> TheoremReport:
     """Nonlinear-alternative condition nu > L^(q-1) phi_q(int a) int Phi,
     with L the sampled maximum of f over [0, 1] x [0, nu]."""
-    if not (math.isfinite(nu) and nu > 0.0):
-        raise ValueError(f"nu must be positive, got {nu!r}")
+    _positive("nu", nu)
     L, at = box_maximum(partial(exprlang.evaluate, pb.f), (0.0, 1.0), (0.0, nu))
     ia = _a_integral(pb)
-    iphi = _envelope_integral(pb)
+    iphi = envelope_integral(pb.kernel_params)
     rhs = phi(pb.q, L) * phi(pb.q, ia) * iphi
     checks = [InequalityCheck("nu > bound", nu > rhs, rhs, nu)]
     return TheoremReport(
@@ -281,9 +274,8 @@ def check_krasnoselskii(pb: Problem, rho: float, rho1: float, rho2: float,
     """
     if variant not in ("expansive_3_1", "compressive_3_2"):
         raise ValueError(f"unknown variant {variant!r}")
-    for name, val in (("rho1", rho1), ("rho2", rho2)):
-        if not (math.isfinite(val) and val > 0.0):
-            raise ValueError(f"{name} must be positive, got {val!r}")
+    _positive("rho1", rho1)
+    _positive("rho2", rho2)
     lam1 = lambda1(pb)
     lam2 = lambda2(pb, rho)
     gam = cone_gamma(pb.kernel_params, rho)
@@ -348,8 +340,7 @@ def check_contraction_small_p(pb: Problem, k_env: Expr, L: float) -> TheoremRepo
     """
     if not 1.0 < pb.p < 2.0:
         raise ValueError(f"this contraction regime requires 1 < p < 2, got p = {pb.p}")
-    if not (math.isfinite(L) and L > 0.0):
-        raise ValueError(f"L must be positive, got {L!r}")
+    _positive("L", L)
     extra = exprlang.variables_of(k_env) - {"t"}
     if extra:
         raise ValueError(f"k(t) may reference only t, found {sorted(extra)}")
@@ -370,13 +361,10 @@ def check_contraction_small_p(pb: Problem, k_env: Expr, L: float) -> TheoremRepo
     m_value = integrate(
         lambda s: exprlang.evaluate(pb.a, t=s) * exprlang.evaluate(k_env, t=s),
         0.0, 1.0, panels=d.panels, points=d.points_per_panel)
-    galpha1 = gamma(pb.alpha + 1.0)
+    bound = math.inf
     if m_value > 0.0 and ia > 0.0:
-        bound = galpha1 / ((pb.alpha + 1.0) * (q - 1.0)) / ia * m_value ** (2.0 - q)
-        l1 = L * (q - 1.0) * m_value ** (q - 2.0) * (pb.alpha + 1.0) / galpha1 * ia
-    else:
-        bound = math.inf
-        l1 = 0.0
+        bound = m_value ** (2.0 - q) / ((q - 1.0) * envelope_integral(pb.kernel_params) * ia)
+    l1 = L / bound if bound > 0.0 else math.inf  # a bound that underflows to 0
     checks.append(InequalityCheck("L < bound", L < bound, L, bound))
     return TheoremReport(
         theorem="3.5",
@@ -408,10 +396,8 @@ def check_contraction_large_p(pb: Problem, mu: float, sigma: float,
     if not (math.isfinite(sigma) and 0.0 < sigma < sigma_cap):
         raise ValueError(
             f"sigma must satisfy 0 < sigma < 2/(2-q) = {sigma_cap}, got {sigma!r}")
-    if not (math.isfinite(mu) and mu > 0.0):
-        raise ValueError(f"mu must be positive, got {mu!r}")
-    if not (math.isfinite(k) and k > 0.0):
-        raise ValueError(f"k must be positive, got {k!r}")
+    _positive("mu", mu)
+    _positive("k", k)
 
     c = sigma * (q - 2.0)
     # the kernel moment int_0^1 K(t, s) s^c ds and the beta factor

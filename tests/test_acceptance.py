@@ -14,7 +14,14 @@ import pytest
 from plbvp.cases import CASES
 from plbvp.cli import main as cli_main
 from plbvp.exprlang import parse
-from plbvp.greens import KernelParams, g_kernel, h_kernel, k_kernel, phi_envelope
+from plbvp.greens import (
+    KernelParams,
+    envelope_integral,
+    g_kernel,
+    h_kernel,
+    k_kernel,
+    phi_envelope,
+)
 from plbvp.quadrature import GridFunction, Partition, integrate
 from plbvp.solver import Discretization, Problem, kernel_route, picard_solve
 from plbvp.specialfn import beta, gamma
@@ -160,6 +167,7 @@ def test_criterion_6_quadrature_oracles():
             value = integrate(lambda s: phi_envelope(kp, s), 0.0, 1.0)
             closed = (alpha + 1.0) / gamma(alpha + 1.0)
             assert abs(value - closed) <= 1e-9
+            assert envelope_integral(kp) == closed
         # direct quadrature reconstruction of the theorem-3.4 k-bound
         for _ in range(5):
             p = rng.uniform(2.2, 5.0)
@@ -193,7 +201,8 @@ def test_criterion_7_solver_self_consistency():
         assert max(vr.bc_residuals) <= 1e-4
         assert vr.cone_slack >= -1e-10
         from dataclasses import replace
-        fine = replace(pb, discretization=pb.discretization.refined())
+        fine = replace(pb, discretization=replace(pb.discretization,
+                                                  panels=2 * pb.discretization.panels))
         report2 = picard_solve(fine, tol=1e-10)
         assert report2.converged
         diff = np.max(np.abs(report2.solution(pb.partition().nodes)

@@ -192,6 +192,23 @@ def test_nan_tolerance_exits_two(capsys, ex43_file):
     assert "tol must be positive" in err
 
 
+def test_infinite_tolerance_exits_two(tmp_path, capsys, ex43_file):
+    # an infinite tolerance would accept the first iterate as converged
+    code, out, err = _run(capsys, "solve", str(ex43_file), "--tol", "inf",
+                          "--out", str(tmp_path / "u.csv"))
+    assert code == 2 and out == ""
+    assert err == "plbvp: error: tol must be positive and finite\n"
+    text = ex43_file.read_text(encoding="utf-8")
+    solver_line = text.splitlines().index("[solver]") + 1
+    path = tmp_path / "inf.problem"
+    path.write_text(text.replace("tol = 1e-10", "tol = inf"), encoding="utf-8")
+    code, out, err = _run(capsys, "solve", str(path), "--out", str(tmp_path / "u.csv"))
+    assert code == 2 and out == ""
+    assert err == (f"plbvp: error: {path}:{solver_line}: "
+                   "tol must be positive and finite\n")
+    assert not (tmp_path / "u.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["--theorem", "3.1", "--rho1", "0.1", "--rho2", "1"],
     ["--theorem", "3.4", "--mu", "0.005", "--sigma", "1.5", "--k", "0.01"],

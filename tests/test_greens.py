@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from plbvp import greens
 from plbvp.greens import (
     KernelParams,
     cone_gamma,
@@ -47,6 +48,35 @@ def test_k_kernel_values():
     for kp in (KP, KernelParams(2.2, 0.8), KernelParams(3.0, 0.3)):
         for t in (0.0, 0.4, 1.0):
             assert k_kernel(kp, t, 1.0) == pytest.approx(0.0, abs=1e-15)
+
+
+def _k_kernel_by_branches(kp, t, s):
+    """K(t, s) as written out with both branches, before k_kernel became
+    G(t, s) + H(eta, s)."""
+    tv = greens._clip_unit("t", t)
+    sv = greens._clip_unit("s", s)
+    value = greens._branch(tv, sv, kp.alpha - 1.0, math.gamma(kp.alpha)) + greens._branch(
+        np.asarray(kp.eta), sv, kp.alpha - 2.0, math.gamma(kp.alpha - 1.0))
+    return greens._scalar_like(value, t, s)
+
+
+def _same_bits(got, want):
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+def test_k_kernel_is_g_plus_h_at_eta_bit_for_bit():
+    # the 200 x 200 grids and (alpha, eta) draws of acceptance criterion 4
+    rng = np.random.default_rng(2024)
+    grid = np.linspace(0.0, 1.0, 200)
+    tg, sg = np.meshgrid(grid, grid, indexing="ij")
+    for _ in range(20):
+        kp = KernelParams(2.0 + rng.uniform(0.01, 1.0), rng.uniform(0.02, 0.98))
+        for t, s in ((tg, sg), (grid, 0.3), (0.3, grid), (grid[:, None], grid[None, :]),
+                     (0.25, 0.75), (0.75, 0.25), (kp.eta, kp.eta), (0.0, 1.0),
+                     (np.float64(0.6), 0.4), (np.array(0.6), np.array(0.4)),
+                     (np.array(0.2), 0.9)):
+            assert _same_bits(k_kernel(kp, t, s), _k_kernel_by_branches(kp, t, s))
 
 
 def test_phi_envelope_values():

@@ -126,8 +126,8 @@ def test_partition_validation():
     with pytest.raises(ValueError):
         Partition(np.array([0.1, 0.3, 0.5, 0.7, 1.0]))
     part = Partition.graded(8, 2.0)
-    assert part.panels == 8
-    assert Partition.graded(16, 2.0).panels == 16
+    assert part.nodes.size - 1 == 8
+    assert Partition.graded(16, 2.0).nodes.size - 1 == 16
     # nodes cluster toward 1
     gaps = np.diff(part.nodes)
     assert gaps[-1] < gaps[0]
@@ -162,12 +162,12 @@ def test_cumulative_power_law():
     # at 0 limits the interpolant there, so full accuracy needs a grid that
     # resolves it (the default partition is graded toward 1, not 0)
     part = Partition.graded(1024, 1.0)
-    g = GridFunction.from_callable(part, lambda t: 2.5 * t ** 1.5)
+    g = GridFunction(part, 2.5 * part.nodes ** 1.5)
     f = cumulative(g)
     assert np.max(np.abs(f.values - part.nodes**2.5)) <= 1e-8
     assert f(0.6) == pytest.approx(0.27885480092693401573, abs=1e-8)
     coarse = Partition.graded(256, 2.0)
-    fc = cumulative(GridFunction.from_callable(coarse, lambda t: 2.5 * t ** 1.5))
+    fc = cumulative(GridFunction(coarse, 2.5 * coarse.nodes ** 1.5))
     assert np.max(np.abs(fc.values - coarse.nodes**2.5)) <= 1e-6
 
 

@@ -30,7 +30,6 @@ from plbvp.solver import (
     Problem,
     SolverError,
     SolverSettings,
-    _integral_operator,
     apply_operator,
     picard_solve,
 )
@@ -278,6 +277,8 @@ def test_picard_rejects_bad_controls():
     with pytest.raises(ValueError):
         picard_solve(pb, tol=math.nan)
     with pytest.raises(ValueError):
+        picard_solve(pb, tol=math.inf)
+    with pytest.raises(ValueError):
         picard_solve(pb, max_iter=0)
     with pytest.raises(ValueError):
         picard_solve(pb, damping=0.0)
@@ -367,7 +368,8 @@ def test_operator_plan_is_bit_for_bit(manufactured):
             rule, _, reference = _operator_reference(pb, u)
             got = apply_operator(pb, u).values
             assert np.array_equal(got, reference)
-            assert np.array_equal(got, _integral_operator(rule, pb.q, pb.density(u)).values)
+            assert np.array_equal(
+                got, rule.apply_to(rule.integrand(pb.q, pb.density(u).values)))
 
 
 def test_integral_form_residual_shares_the_operator_plan(manufactured):
@@ -487,7 +489,8 @@ def test_nonconvergence_returns_report():
 
 def test_doubled_resolution_agreement():
     pb = CASES["ex43"].problem
-    fine = replace(pb, discretization=pb.discretization.refined())
+    fine = replace(pb, discretization=replace(pb.discretization,
+                                              panels=2 * pb.discretization.panels))
     s1 = picard_solve(pb, tol=1e-10)
     s2 = picard_solve(fine, tol=1e-10)
     diff = np.max(np.abs(s2.solution(pb.partition().nodes) - s1.solution.values))

@@ -30,6 +30,19 @@ def _problem(a="1", f="1", alpha=2.5, eta=0.5, p=1.5):
     return Problem(alpha=alpha, eta=eta, p=p, a=parse(a, variables=("t",)), f=parse(f))
 
 
+def _first_failure(rep):
+    """The first check of rep that fails, or None."""
+    return next((c for c in rep.checks if not c.holds), None)
+
+
+def _assert_rejects_nonpositive(call, name):
+    """call(value) raises the one finite-and-positive diagnostic of name."""
+    for value in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError) as exc:
+            call(value)
+        assert str(exc.value) == f"{name} must be positive, got {value!r}"
+
+
 # --- Lambda_1 / Lambda_2 -------------------------------------------------
 
 def test_lambda1_ex43_closed_form():
@@ -365,7 +378,7 @@ def test_leray_schauder_ex41():
 def test_leray_schauder_tiny_nu_fails():
     rep = check_leray_schauder(CASES["ex43"].problem, 1e-6)
     assert not rep.holds
-    assert rep.failure_witness() is not None
+    assert _first_failure(rep) is not None
 
 
 def test_leray_schauder_constant_f_closed_form():
@@ -382,6 +395,7 @@ def test_leray_schauder_constant_f_closed_form():
 def test_leray_schauder_rejects_bad_nu():
     with pytest.raises(ValueError):
         check_leray_schauder(CASES["ex41"].problem, 0.0)
+    _assert_rejects_nonpositive(partial(check_leray_schauder, CASES["ex41"].problem), "nu")
 
 
 def test_report_reproducibility():
@@ -438,7 +452,7 @@ def test_krasnoselskii_zero_f_fails_lower_bound():
     pb = _problem(f="0", p=3.5)
     rep = check_krasnoselskii(pb, 0.5, 1.0 / 120.0, 1.0)
     assert not rep.holds
-    witness = rep.failure_witness()
+    witness = _first_failure(rep)
     assert witness is not None
     assert "f >=" in witness.name
 
@@ -484,6 +498,10 @@ def test_krasnoselskii_rejects_bad_inputs():
         check_krasnoselskii(case.problem, 0.5, -0.1, 1.0)
     with pytest.raises(ValueError):
         check_krasnoselskii(case.problem, 0.5, 0.1, 1.0, variant="sideways")
+    _assert_rejects_nonpositive(lambda v: check_krasnoselskii(case.problem, 0.5, v, 1.0),
+                                "rho1")
+    _assert_rejects_nonpositive(lambda v: check_krasnoselskii(case.problem, 0.5, 0.1, v),
+                                "rho2")
 
 
 # --- theorem 3.5 (1 < p < 2) ----------------------------------------------
@@ -498,12 +516,30 @@ def test_contraction_small_p_ex42():
                                                              rel=1e-6)
 
 
+@pytest.mark.parametrize("k_env", ["exp(-t)", "0.1"])
+def test_contraction_l1_is_l_over_its_bound(k_env):
+    # 3.5 states its contraction factor as 3.4 does: L over the bound on L
+    rep = check_contraction_small_p(CASES["ex42"].problem,
+                                    parse(k_env, variables=("t",)), 2.0)
+    assert rep.quantities["contraction_l1"] == 2.0 / rep.quantities["l_bound"]
+
+
+def test_contraction_l1_of_a_bound_that_underflows_is_infinite():
+    # int a = 1e30 and M = int a k = 1e3 with q = 101: the bound on L,
+    # M^(2-q) / ((q-1) int Phi int a), underflows to 0
+    pb = _problem(a="1e30", f="1", p=1.01)
+    rep = check_contraction_small_p(pb, parse("1e-27", variables=("t",)), 1.0)
+    assert rep.quantities["l_bound"] == 0.0
+    assert rep.quantities["contraction_l1"] == math.inf
+    assert not rep.holds
+
+
 def test_contraction_small_p_large_l_fails():
     case = CASES["ex42"]
     rep = check_contraction_small_p(case.problem,
                                     parse("exp(-t)", variables=("t",)), 5.0)
     assert not rep.holds
-    assert rep.failure_witness().name == "L < bound"
+    assert _first_failure(rep).name == "L < bound"
 
 
 def test_contraction_small_p_envelope_violation_witnessed():
@@ -524,6 +560,8 @@ def test_contraction_small_p_regime_rejected():
                                   parse("1", variables=("t",)), 0.0)
     with pytest.raises(ValueError):
         check_contraction_small_p(CASES["ex42"].problem, parse("u"), 1.0)
+    _assert_rejects_nonpositive(partial(check_contraction_small_p, CASES["ex42"].problem,
+                                        parse("1", variables=("t",))), "L")
 
 
 def test_contraction_small_p_implies_picard_contraction():
@@ -592,7 +630,7 @@ def test_contraction_large_p_lower_bound_sampling():
                  f=parse("0.1"))
     rep = check_contraction_large_p(pb, mu=0.5, sigma=1.0, k=0.1)
     assert not rep.holds
-    bad = rep.failure_witness()
+    bad = _first_failure(rep)
     assert bad is not None and bad.witness is not None
 
 
@@ -608,3 +646,5 @@ def test_contraction_large_p_regime_rejections():
         check_contraction_large_p(pb, mu=0.0, sigma=1.0, k=0.1)
     with pytest.raises(ValueError):
         check_contraction_large_p(pb, mu=0.5, sigma=1.0, k=0.0)
+    _assert_rejects_nonpositive(lambda v: check_contraction_large_p(pb, v, 1.0, 0.1), "mu")
+    _assert_rejects_nonpositive(lambda v: check_contraction_large_p(pb, 0.5, 1.0, v), "k")

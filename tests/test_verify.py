@@ -116,7 +116,7 @@ def test_residual_decays_with_resolution():
     for panels in (64, 128, 256):
         pb = replace(case.problem, discretization=Discretization(panels=panels))
         sol = picard_solve(pb, tol=1e-12)
-        u = GridFunction.from_callable(fine.partition(), sol.solution)
+        u = GridFunction(fine.partition(), sol.solution(fine.partition().nodes))
         residuals.append(integral_form_residual(fine, u))
     assert residuals[2] < residuals[0]
 
