@@ -106,9 +106,13 @@ def envelope_integral(kp: KernelParams) -> float:
 
 
 def cone_gamma(kp: KernelParams, rho: float) -> float:
-    """Cone constant gamma = (1 - eta^(alpha-2)) (1 - rho^(alpha-1)) in (0, 1)."""
+    """Cone constant gamma = (1 - eta^(alpha-2)) (1 - rho^(alpha-1)) in (0, 1).
+
+    Each factor is taken as -expm1(x ln y), not by subtraction from 1, which
+    cancels when alpha is near 2 or eta near 1."""
     rho = float(rho)
     if not (math.isfinite(rho) and 0.0 < rho < 1.0):
         raise ValueError(f"rho must lie in (0, 1), got {rho!r}")
     a = kp.alpha
-    return (1.0 - kp.eta ** (a - 2.0)) * (1.0 - rho ** (a - 1.0))
+    eta_factor = -math.expm1((a - 2.0) * math.log(kp.eta))
+    return eta_factor * -math.expm1((a - 1.0) * math.log(rho))

@@ -25,7 +25,6 @@ __all__ = [
     "GridFunction",
     "FixedPoints",
     "graded_edges",
-    "gauss_rule",
     "jacobi_rule",
     "panel_rule",
     "integrate",
@@ -34,10 +33,10 @@ __all__ = [
 
 DEFAULT_PANELS = 256
 DEFAULT_POINTS = 4
-# Grading exponent used for panel layouts inside integrate().  Exponent 3
-# keeps the error of endpoint-singular integrands like (1-s)^(alpha-2) below
-# 1e-10 uniformly over alpha in (2, 3]; exponent 2 degrades to ~2e-8 near
-# alpha = 2.1.
+# Grading exponent of graded_edges, the panel layout of integrate() and of
+# lambda2.  Exponent 3 keeps the error of endpoint-singular integrands like
+# (1-s)^(alpha-2) below 1e-10 uniformly over alpha in (2, 3]; exponent 2
+# degrades to ~2e-8 near alpha = 2.1.
 DEFAULT_GRADING = 3.0
 
 
@@ -55,8 +54,7 @@ def _leggauss(points: int):
     return x, w
 
 
-def graded_edges(lo: float, hi: float, panels: int,
-                 grading: float = DEFAULT_GRADING) -> np.ndarray:
+def graded_edges(lo: float, hi: float, panels: int) -> np.ndarray:
     """Panel edges on [lo, hi], clustered toward both ends.
 
     The interval is split at its midpoint and each half is graded toward
@@ -67,15 +65,12 @@ def graded_edges(lo: float, hi: float, panels: int,
         raise ValueError("panel count must be >= 1")
     if hi < lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
-    if grading < 1.0:
-        raise ValueError("grading exponent must be >= 1")
-    if grading == 1.0:
-        return np.linspace(lo, hi, panels + 1)
     nl = max(panels // 2, 1)
     nr = max(panels - nl, 1)
     mid = 0.5 * (lo + hi)
-    left = lo + (mid - lo) * np.linspace(0.0, 1.0, nl + 1) ** grading
-    right = mid + (hi - mid) * (1.0 - (1.0 - np.linspace(0.0, 1.0, nr + 1)) ** grading)
+    left = lo + (mid - lo) * np.linspace(0.0, 1.0, nl + 1) ** DEFAULT_GRADING
+    right = mid + (hi - mid) * (
+        1.0 - (1.0 - np.linspace(0.0, 1.0, nr + 1)) ** DEFAULT_GRADING)
     return np.concatenate([left, right[1:]])
 
 
@@ -88,12 +83,6 @@ def panel_rule(edges: np.ndarray, points: int):
     nodes = (mid[:, None] + hw[:, None] * x[None, :]).ravel()
     weights = (hw[:, None] * w[None, :]).ravel()
     return nodes, weights
-
-
-def gauss_rule(lo: float, hi: float, panels: int = DEFAULT_PANELS,
-               points: int = DEFAULT_POINTS, grading: float = DEFAULT_GRADING):
-    """Nodes and weights of the composite rule on [lo, hi]."""
-    return panel_rule(graded_edges(lo, hi, panels, grading), points)
 
 
 def jacobi_rule(points: int, a: float):
@@ -129,7 +118,7 @@ def _sample(f, x: np.ndarray) -> np.ndarray:
 
 
 def integrate(f, lo: float, hi: float, panels: int = DEFAULT_PANELS,
-              points: int = DEFAULT_POINTS, grading: float = DEFAULT_GRADING) -> float:
+              points: int = DEFAULT_POINTS) -> float:
     """Composite Gauss-Legendre integral of f over [lo, hi].
 
     f is called once with the full ndarray of sample points and must return
@@ -140,7 +129,7 @@ def integrate(f, lo: float, hi: float, panels: int = DEFAULT_PANELS,
         raise ValueError(f"empty interval [{lo}, {hi}]")
     if hi == lo:
         return 0.0
-    x, w = gauss_rule(lo, hi, panels, points, grading)
+    x, w = panel_rule(graded_edges(lo, hi, panels), points)
     return float(w @ _sample(f, x))
 
 

@@ -385,7 +385,9 @@ def picard_solve(pb: Problem, u0: GridFunction | None = None,
     Picard step x + beta (A x - x).  Convergence requires both the
     successive sup-norm gap and the residual sup|u - A u| to fall below tol.
     Non-convergence within max_iter returns a report with converged = False
-    rather than raising.
+    rather than raising.  So does an A x that is not finite (the iterate
+    overflowed): the solve stops at that iteration with residual = inf and
+    keeps the last iterate whose image was finite.
     """
     SolverSettings(tol, max_iter, damping)  # range checks
     if u0 is None:
@@ -395,30 +397,38 @@ def picard_solve(pb: Problem, u0: GridFunction | None = None,
 
     partition = u0.partition
     x = u0.values
-    f = _apply(pb, partition, x) - x
-    residual = float(np.max(np.abs(f)))
     dxs: list[np.ndarray] = []
     dfs: list[np.ndarray] = []
     diffs: list[float] = []
     converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        step = x + damping * f
-        if dxs:
-            dx, df = np.column_stack(dxs), np.column_stack(dfs)
-            gamma = np.linalg.lstsq(df, f, rcond=None)[0]
-            step -= (dx + damping * df) @ gamma
-        new = np.maximum(step, 0.0)
-        f_new = _apply(pb, partition, new) - new
-        gap = float(np.max(np.abs(new - x)))
-        diffs.append(gap)
-        residual = float(np.max(np.abs(f_new)))
-        dxs = (dxs + [new - x])[-MEMORY:]
-        dfs = (dfs + [f_new - f])[-MEMORY:]
-        x, f = new, f_new
-        if gap <= tol and residual <= tol:
-            converged = True
-            break
+    # an A x that overflows makes the residual non-finite, which ends the
+    # solve; numpy's warnings are silenced here once, not in each application
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = _apply(pb, partition, x) - x
+        residual = float(np.max(np.abs(f)))
+        while math.isfinite(residual) and iterations < max_iter:
+            iterations += 1
+            step = x + damping * f
+            if dxs:
+                dx, df = np.column_stack(dxs), np.column_stack(dfs)
+                gamma = np.linalg.lstsq(df, f, rcond=None)[0]
+                step -= (dx + damping * df) @ gamma
+            new = np.maximum(step, 0.0)
+            f_new = _apply(pb, partition, new) - new
+            residual = float(np.max(np.abs(f_new)))
+            if not math.isfinite(residual):
+                break
+            gap = float(np.max(np.abs(new - x)))
+            diffs.append(gap)
+            dxs = (dxs + [new - x])[-MEMORY:]
+            dfs = (dfs + [f_new - f])[-MEMORY:]
+            x, f = new, f_new
+            if gap <= tol and residual <= tol:
+                converged = True
+                break
+    if not math.isfinite(residual):
+        residual = math.inf
     return SolveReport(
         solution=u0.with_values(x),
         iterations=iterations,

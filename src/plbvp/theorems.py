@@ -32,7 +32,7 @@ from . import exprlang
 from .exprlang import Expr
 from .greens import cone_gamma, envelope_integral, phi_envelope
 from .plaplacian import phi
-from .quadrature import gauss_rule, integrate
+from .quadrature import graded_edges, integrate, panel_rule
 from .solver import LATTICE, SAMPLING_SLACK, WIDE_U_MAX, Problem
 from .specialfn import beta, gamma
 
@@ -121,23 +121,37 @@ def lambda1(pb: Problem) -> float:
 
 
 def lambda2(pb: Problem, rho: float) -> float:
-    """Lambda_2 = ( gamma * int_0^rho Phi(s) phi_q(int_0^s a) ds )^(-1)."""
+    """Lambda_2 = ( gamma * int_0^rho Phi(s) phi_q(int_0^s a) ds )^(-1).
+
+    One composite Gauss rule on [0, rho] takes the outer integral.  Its
+    panels also give int_0^s a at each of its nodes s as a running integral:
+    the rule's sums over the whole panels left of s, plus an m-point Gauss
+    rule on [left edge, s].
+    """
     kp = pb.kernel_params
     gam = cone_gamma(kp, rho)
-    d = pb.discretization
-    outer_x, outer_w = gauss_rule(0.0, rho, panels=d.panels,
-                                  points=d.points_per_panel)
-    # inner rule as a template on [0, 1], rescaled to [0, s] per outer point
-    inner_x, inner_w = gauss_rule(0.0, 1.0, panels=max(32, d.panels // 4),
-                                  points=d.points_per_panel)
-    taus = outer_x[:, None] * inner_x[None, :]
-    inner = (exprlang.evaluate(pb.a, t=taus) @ inner_w) * outer_x
-    integrand = phi_envelope(kp, outer_x) * phi(pb.q, inner)
-    value = gam * float(outer_w @ integrand)
+    m = pb.discretization.points_per_panel
+    edges = graded_edges(0.0, rho, pb.discretization.panels)
+    x, w = panel_rule(edges, m)
+    at_edges = np.cumsum((w * exprlang.evaluate(pb.a, t=x)).reshape(-1, m).sum(axis=1))
+    left = np.repeat(edges[:-1], m)
+    unit_x, unit_w = panel_rule(np.array([0.0, 1.0]), m)
+    width = x - left
+    partial = exprlang.evaluate(pb.a, t=left[:, None] + width[:, None] * unit_x) @ unit_w
+    inner = np.repeat(np.concatenate([[0.0], at_edges[:-1]]), m) + width * partial
+    integral = float(w @ (phi_envelope(kp, x) * phi(pb.q, inner)))
+    value = gam * integral
     if not (value > 0.0 and math.isfinite(1.0 / value)):
-        raise ValueError(f"nested quadrature for Lambda_2 is {value!r}, too small to "
-                         "invert: a(t) vanishes or nearly vanishes on [0, rho], so "
-                         "Lambda_2 is undefined")
+        a_rho = float(at_edges[-1])
+        if not a_rho > 0.0:
+            cause = f"a(t) vanishes on [0, rho] (int_0^rho a = {a_rho!r})"
+        elif not (integral > 0.0 and math.isfinite(1.0 / integral)):
+            cause = f"phi_q(int_0^s a) underflows (q = {pb.q!r}, int_0^rho a = {a_rho!r})"
+        else:
+            cause = (f"the cone constant gamma = {gam!r} is too small (alpha near 2, "
+                     "or eta or rho near 1)")
+        raise ValueError(f"gamma int_0^rho Phi(s) phi_q(int_0^s a) ds = {value!r} is "
+                         f"too small to invert: {cause}, so Lambda_2 is undefined")
     return 1.0 / value
 
 
@@ -363,7 +377,11 @@ def check_contraction_small_p(pb: Problem, k_env: Expr, L: float) -> TheoremRepo
         0.0, 1.0, panels=d.panels, points=d.points_per_panel)
     bound = math.inf
     if m_value > 0.0 and ia > 0.0:
-        bound = m_value ** (2.0 - q) / ((q - 1.0) * envelope_integral(pb.kernel_params) * ia)
+        try:
+            power = m_value ** (2.0 - q)
+        except OverflowError:  # a tiny M with a large q: the bound is infinite
+            power = math.inf
+        bound = power / ((q - 1.0) * envelope_integral(pb.kernel_params) * ia)
     l1 = L / bound if bound > 0.0 else math.inf  # a bound that underflows to 0
     checks.append(InequalityCheck("L < bound", L < bound, L, bound))
     return TheoremReport(
@@ -419,10 +437,14 @@ def check_contraction_large_p(pb: Problem, mu: float, sigma: float,
 
     ia = _positive_a_integral(pb, "the bound on k")
     beta_value = beta(pb.alpha - 1.0, c + 1.0)
+    try:
+        mu_power = mu ** (q - 2.0)
+    except OverflowError:  # a tiny mu with a large p: the bound is 0
+        mu_power = math.inf
     k_bound = ((c + pb.alpha) * gamma(pb.alpha - 1.0)
-               / ((q - 1.0) * mu ** (q - 2.0) * (c + pb.alpha + 1.0) * beta_value)
+               / ((q - 1.0) * mu_power * (c + pb.alpha + 1.0) * beta_value)
                / ia)
-    contraction = k / k_bound
+    contraction = k / k_bound if k_bound > 0.0 else math.inf  # k_bound underflows to 0
     checks.append(InequalityCheck("k < bound", k < k_bound, k, k_bound))
     return TheoremReport(
         theorem="3.4",

@@ -248,6 +248,54 @@ def test_lambda1_too_small_to_invert_exits_two(tmp_path, capsys, a):
     assert "too small to invert" in err and "Lambda_1 is undefined" in err
 
 
+@pytest.mark.parametrize("p, a, argv, quantities", [
+    # k_bound underflows to 0
+    ("3", "1e200", ["--theorem", "3.4", "--mu", "1e-300", "--sigma", "1", "--k", "1"],
+     {"k_bound": "0", "contraction_l": "inf"}),
+    # mu^(q-2) overflows, so k_bound is 0
+    ("100", "1", ["--theorem", "3.4", "--mu", "1e-320", "--sigma", "0.5", "--k", "1"],
+     {"k_bound": "0", "contraction_l": "inf"}),
+], ids=["k_bound_underflows", "mu_power_overflows"])
+def test_contraction_large_p_on_extreme_inputs_is_a_report(tmp_path, capsys, p, a, argv,
+                                                           quantities):
+    path = tmp_path / "extreme.problem"
+    path.write_text(f'[problem]\nalpha = 2.5\neta = 0.5\np = {p}\na = "{a}"\n'
+                    'f = "1"\n', encoding="utf-8")
+    code, out, err = _run(capsys, "check", *argv, str(path))
+    assert code == 1 and err == ""
+    report = _report(out)
+    assert {key: report[key] for key in quantities} == quantities
+    assert report["verdict"] == "hypotheses_fail"
+
+
+def test_contraction_small_p_with_overflowing_power_is_a_report(tmp_path, capsys):
+    # M = int a k = 1e-10 and q = 101: M^(2-q) overflows, so the bound on L
+    # is infinite
+    path = tmp_path / "extreme.problem"
+    path.write_text('[problem]\nalpha = 2.5\neta = 0.5\np = 1.01\na = "1"\n'
+                    'f = "1"\n', encoding="utf-8")
+    code, out, err = _run(capsys, "check", "--theorem", "3.5", "--k-env", "1e-10",
+                          "--L", "1", str(path))
+    assert code == 1 and err == ""
+    report = _report(out)
+    assert report["l_bound"] == "inf" and report["contraction_l1"] == "0"
+    assert report["check.3.holds"] == "true"
+    assert report["verdict"] == "hypotheses_fail"  # f <= k fails
+
+
+def test_overflowing_solve_is_a_nonconvergence(tmp_path, capsys):
+    # the iterate overflows phi_q (q = 21): exit 1 with a report, no
+    # warning and no LAPACK message
+    path = tmp_path / "diverging.problem"
+    path.write_text('[problem]\nalpha = 2.5\neta = 0.5\np = 1.05\na = "3"\n'
+                    'f = "1 + u"\n', encoding="utf-8")
+    code, out, err = _run(capsys, "solve", str(path), "--out", str(tmp_path / "u.csv"))
+    assert code == 1 and err == ""
+    report = _report(out)
+    assert report["residual"] == "inf"
+    assert report["verdict"] == "not_converged"
+
+
 @pytest.mark.parametrize("argv", [
     ["--theorem", "3.3", "--nu", "10"],
     ["--theorem", "3.1", "--rho1", "0.1", "--rho2", "1"],

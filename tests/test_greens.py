@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from plbvp import greens
 from plbvp.greens import (
@@ -88,6 +90,21 @@ def test_phi_envelope_values():
 def test_cone_gamma_values():
     assert cone_gamma(KernelParams(3.0, 0.5), 0.5) == pytest.approx(3.0 / 8.0, rel=1e-14)
     assert cone_gamma(KP, 0.2) == pytest.approx(0.26669605291682847438, rel=1e-13)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.floats(2.0, 3.0, exclude_min=True),
+       eta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       rho=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(alpha=2.0 + 1e-9, eta=1.0 - 1e-9, rho=0.5)  # 5.0e-19, not 0
+@example(alpha=2.0 + 1e-9, eta=0.999, rho=0.5)
+def test_cone_gamma_to_a_few_ulp(alpha, eta, rho):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        a = mp.mpf(alpha)
+        exact = (1 - mp.mpf(eta) ** (a - 2)) * (1 - mp.mpf(rho) ** (a - 1))
+        error = abs(cone_gamma(KernelParams(alpha, eta), rho) / exact - 1)
+    assert error <= 4.0 * 2.0**-52
 
 
 def test_cone_gamma_domain():

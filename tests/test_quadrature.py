@@ -9,10 +9,10 @@ from plbvp.quadrature import (
     Partition,
     QuadratureError,
     cumulative,
-    gauss_rule,
     graded_edges,
     integrate,
     jacobi_rule,
+    panel_rule,
 )
 
 
@@ -62,7 +62,7 @@ def test_nonfinite_integrand_diagnostic():
 
 
 def test_graded_edges_shapes():
-    e = graded_edges(0.0, 1.0, 17, 2.0)
+    e = graded_edges(0.0, 1.0, 17)
     assert e[0] == 0.0 and e[-1] == 1.0
     assert np.all(np.diff(e) > 0.0)
     with pytest.raises(ValueError):
@@ -70,7 +70,7 @@ def test_graded_edges_shapes():
 
 
 def test_gauss_rule_weights_sum():
-    x, w = gauss_rule(0.25, 0.75, panels=13, points=5)
+    x, w = panel_rule(graded_edges(0.25, 0.75, 13), 5)
     assert np.sum(w) == pytest.approx(0.5, rel=1e-14)
     assert np.all((x > 0.25) & (x < 0.75))
 

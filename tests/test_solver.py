@@ -487,6 +487,17 @@ def test_nonconvergence_returns_report():
     assert len(report.successive_diffs) == 3
 
 
+def test_overflowing_iterate_stops_the_solve():
+    # phi_q with q = 21 overflows at the fourth iterate; the solve stops there,
+    # with no numpy warning, and keeps the last iterate whose image is finite
+    pb = _problem(a="3", f="1 + u", p=1.05)
+    report = picard_solve(pb)
+    assert not report.converged
+    assert report.residual == math.inf
+    assert report.iterations == len(report.successive_diffs) + 1 < 80
+    assert np.all(np.isfinite(report.solution.values))
+
+
 def test_doubled_resolution_agreement():
     pb = CASES["ex43"].problem
     fine = replace(pb, discretization=replace(pb.discretization,

@@ -1,5 +1,7 @@
 import importlib.util
 import math
+import tracemalloc
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 
@@ -127,6 +129,65 @@ def test_lambda1_too_small_to_invert_is_a_value_error(a):
 def test_lambda2_too_small_to_invert_is_a_value_error(a):
     with pytest.raises(ValueError, match="too small to invert.*Lambda_2 is undefined"):
         lambda2(_problem(a=a, p=1.5), 0.5)
+
+
+@pytest.mark.parametrize("pb, cause", [
+    (_problem(a="0", p=3.5), "a(t) vanishes on [0, rho]"),
+    # q = 1e6 + 1: phi_q(int_0^s a) <= 0.125^q underflows although a does not vanish
+    (_problem(a="t", p=1.0 + 1e-6), "phi_q(int_0^s a) underflows"),
+    # gamma is about 2e-32 and the integral about 1e-281: each is invertible,
+    # their product is not
+    (_problem(a="1e-140", alpha=2.0 + 2.0**-51, eta=1.0 - 2.0**-53),
+     "the cone constant gamma = "),
+], ids=["a_vanishes", "phi_q_underflows", "gamma_too_small"])
+def test_lambda2_diagnostic_names_its_cause(pb, cause):
+    with pytest.raises(ValueError) as exc:
+        lambda2(pb, 0.5)
+    assert cause in str(exc.value)
+    assert str(exc.value).endswith("so Lambda_2 is undefined")
+
+
+def _lambda2_closed_form(mp, alpha, eta, p, r, rho):
+    """Lambda_2 for a = 1.3 r t^(r-1), whose int_0^s a = 1.3 s^r gives
+    phi_q(int_0^s a) = 1.3^(q-1) s^m with m = r (q - 1), so that
+    int_0^rho Phi(s) s^m ds = (alpha B_rho(m+1, alpha-1) - B_rho(m+2, alpha-1))
+    / Gamma(alpha) with incomplete beta functions B_rho."""
+    with mp.workdps(40):
+        a, q = mp.mpf(alpha), mp.mpf(p) / (mp.mpf(p) - 1)
+        m = r * (q - 1)
+        gam = (1 - mp.mpf(eta) ** (a - 2)) * (1 - mp.mpf(rho) ** (a - 1))
+        moment = (a * mp.betainc(m + 1, a - 1, 0, rho)
+                  - mp.betainc(m + 2, a - 1, 0, rho)) / mp.gamma(a)
+        return 1 / (gam * mp.mpf(1.3) ** (q - 1) * moment)
+
+
+@pytest.mark.parametrize("panels, tol", [(128, 3e-9), (512, 3e-11)])
+def test_lambda2_power_law_coefficients_against_closed_form(panels, tol):
+    # a(t) behaves like t^(r-1) at t = 0, which the running integral of
+    # lambda2's one rule resolves panel by panel
+    mp = pytest.importorskip("mpmath")
+    for p in (1.5, 3.5):
+        for r in (1.0, 1.2, 1.5, 2.5):
+            pb = Problem(alpha=2.3, eta=0.4, p=p,
+                         a=parse(f"{1.3 * r!r}*t^{r - 1.0!r}", variables=("t",)),
+                         f=parse("1"), discretization=Discretization(panels=panels))
+            exact = _lambda2_closed_form(mp, 2.3, 0.4, p, r, 0.5)
+            assert float(abs(lambda2(pb, 0.5) / exact - 1)) <= tol, (p, r)
+
+
+def test_lambda2_memory_is_linear_in_panels():
+    # a(t) is sampled N m (m + 1) times, about 160 KB at 1024 panels; a nested
+    # rule per outer point would take N^2 samples
+    pb = CASES["ex43"].problem
+    pb = replace(pb, discretization=replace(pb.discretization, panels=1024))
+    lambda2(pb, 0.5)  # compiles a(t) outside the measurement
+    tracemalloc.start()
+    try:
+        lambda2(pb, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4e6
 
 
 def test_lambda1_closed_form_at_coarse_quadrature():
