@@ -38,6 +38,7 @@ __all__ = [
     "ExprError",
     "ExprSyntaxError",
     "ExprEvalError",
+    "ExprOverflowError",
     "parse",
     "evaluate",
     "to_text",
@@ -84,6 +85,10 @@ class ExprEvalError(ExprError):
         if self.sample:
             at = " at " + ", ".join(f"{k}={v!r}" for k, v in sorted(self.sample.items()))
         super().__init__(message + where + at)
+
+
+class ExprOverflowError(ExprEvalError):
+    """Every domain test passed, but the value is not finite: it overflowed."""
 
 
 class Expr:
@@ -451,7 +456,7 @@ def evaluate(e: Expr, t=None, u=None):
     the form is freed with e.
     """
     # domain checks preempt divide/invalid; overflow to inf is converted to
-    # an ExprEvalError below, so keep numpy quiet in between
+    # an ExprOverflowError below, so keep numpy quiet in between
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         fn = getattr(e, "_compiled", None)
         if fn is None:
@@ -461,8 +466,8 @@ def evaluate(e: Expr, t=None, u=None):
     arr = np.asarray(value, dtype=float)
     finite = np.isfinite(arr)
     if not finite.all():
-        raise ExprEvalError("evaluation produced a non-finite value", e,
-                            _witness({"t": t, "u": u}, ~finite))
+        raise ExprOverflowError("evaluation produced a non-finite value", e,
+                                _witness({"t": t, "u": u}, ~finite))
     if np.ndim(t) == 0 and np.ndim(u) == 0:
         return float(arr)
     shape = np.broadcast(t, u).shape

@@ -85,12 +85,16 @@ def panel_rule(edges: np.ndarray, points: int):
     return nodes, weights
 
 
+# The Jacobi exponents are floats, one or two per problem, so the cache of
+# jacobi_rule is bounded, unlike that of _leggauss.
+@lru_cache(maxsize=128)
 def jacobi_rule(points: int, a: float):
     """Gauss-Jacobi nodes and weights for int_{-1}^{1} (1 - x)^a g(x) dx, a > -1.
 
     Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
     monic Jacobi polynomials P^(a, 0), and the weights are the squared first
-    components of its eigenvectors times the weight's total mass.
+    components of its eigenvectors times the weight's total mass.  Rules are
+    cached per (points, a), read-only, as Gauss-Legendre rules are.
     """
     if points < 1:
         raise ValueError("points must be >= 1")
@@ -102,6 +106,8 @@ def jacobi_rule(points: int, a: float):
     off = 2.0 * n * (n + a) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
     x, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     w = 2.0 ** (a + 1.0) / (a + 1.0) * vecs[0] ** 2
+    x.setflags(write=False)
+    w.setflags(write=False)
     return x, w
 
 
@@ -162,23 +168,47 @@ class Partition:
         return Partition(nodes)
 
 
-def _pchip_slopes(h: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Fritsch-Carlson node slopes for panel widths h: inside, the weighted
-    harmonic mean of the neighbouring secants, zero where they change sign or
-    one vanishes; at the ends, the one-sided three-point formula kept
-    shape-preserving."""
-    m = np.diff(y) / h
-    d = np.zeros_like(y)
-    inner = np.sign(m[:-1]) * np.sign(m[1:]) > 0.0
-    w1 = (2.0 * h[1:] + h[:-1])[inner]
-    w2 = (h[1:] + 2.0 * h[:-1])[inner]
-    d[1:-1][inner] = 1.0 / ((w1 / m[:-1][inner] + w2 / m[1:][inner]) / (w1 + w2))
-    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+def _pchip_weights(h: np.ndarray) -> tuple:
+    """The part of :func:`_pchip_slopes` that depends on the panel widths h
+    alone: the weights 2 h[k+1] + h[k] and h[k+1] + 2 h[k] of the harmonic
+    mean, their sum, and the two widths at either end as floats."""
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    return w1, w2, w1 + w2, h[[0, 1, -2, -1]].tolist()
+
+
+def _sign(x: float) -> float:
+    """np.sign of a float: -1, 0 or 1, and nan for nan."""
+    return x if x != x else float((x > 0.0) - (x < 0.0))
+
+
+def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point slope at an end, for the end panel of width h0
+    and secant m0 and its neighbour h1, m1, kept shape-preserving."""
     end = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    end[np.sign(end) != np.sign(m0)] = 0.0
-    turn = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
-    end[turn] = 3.0 * m0[turn]
-    d[[0, -1]] = end
+    if _sign(end) != _sign(m0):
+        return 0.0
+    if _sign(m0) != _sign(m1) and abs(end) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return end
+
+
+def _pchip_slopes(h: np.ndarray, y: np.ndarray, weights: tuple) -> np.ndarray:
+    """Fritsch-Carlson node slopes for panel widths h, with weights =
+    _pchip_weights(h): inside, the weighted harmonic mean of the neighbouring
+    secants, zero where they change sign or one vanishes; at the ends, the
+    one-sided three-point formula kept shape-preserving."""
+    w1, w2, w12, (h0, h1, hb1, hb0) = weights
+    m = (y[1:] - y[:-1]) / h
+    sm = np.sign(m)
+    # the mean is taken everywhere and kept where the secants agree in sign
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        mean = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / w12)
+    d = np.empty_like(y)
+    d[1:-1] = np.where(sm[:-1] * sm[1:] > 0.0, mean, 0.0)
+    m0, m1, mb1, mb0 = m[[0, 1, -2, -1]].tolist()
+    d[0] = _end_slope(h0, h1, m0, m1)
+    d[-1] = _end_slope(hb0, hb1, mb0, mb1)
     return d
 
 
@@ -195,9 +225,10 @@ class FixedPoints:
     """Points xi placed once on the partition with nodes x, so that cubics on
     it evaluate there without a search.
 
-    It keeps the panel widths, the cell k of each point and the offsets s,
-    s * s and s * s * s of each point from x[k].  Points outside [x[0], x[-1]]
-    fall in the end cells, whose cubics extend there.
+    It keeps the panel widths and their PCHIP weights, the cell k of each
+    point and the offsets s, s * s and s * s * s of each point from x[k].
+    Points outside [x[0], x[-1]] fall in the end cells, whose cubics extend
+    there.
     """
 
     def __init__(self, x: np.ndarray, xi: np.ndarray):
@@ -206,6 +237,10 @@ class FixedPoints:
                             self.widths.size - 1)
         s = xi - x[self.cell]
         self.offsets = (s, s * s, s * s * s)
+
+    @cached_property
+    def weights(self) -> tuple:
+        return _pchip_weights(self.widths)
 
     def hermite(self, y: np.ndarray, d: np.ndarray) -> np.ndarray:
         """Cubic Hermite interpolant with node values y and slopes d at the
@@ -223,9 +258,9 @@ class FixedPoints:
         """F = int_0^x of the PCHIP of node values y, at the points: the PCHIP
         of the node values of :func:`cumulative`, without building a
         :class:`GridFunction`."""
-        h = self.widths
-        F = _running_integral(h, y, _pchip_slopes(h, y))
-        return self.hermite(F, _pchip_slopes(h, F))
+        h, weights = self.widths, self.weights
+        F = _running_integral(h, y, _pchip_slopes(h, y, weights))
+        return self.hermite(F, _pchip_slopes(h, F, weights))
 
 
 @dataclass(frozen=True)
@@ -260,7 +295,8 @@ class GridFunction:
 
     @cached_property
     def _slopes(self) -> np.ndarray:
-        return _pchip_slopes(np.diff(self.partition.nodes), self.values)
+        h = np.diff(self.partition.nodes)
+        return _pchip_slopes(h, self.values, _pchip_weights(h))
 
     def __call__(self, x):
         out = FixedPoints(self.partition.nodes, np.asarray(x, dtype=float)).hermite(

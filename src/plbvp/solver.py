@@ -18,12 +18,16 @@ matrix-vector product with the lower part of the weight matrix, stored in
 blocks of rows.
 
 A :class:`Problem` builds one operator plan per partition and shares it
-between the solve, every :func:`apply_operator` call and the verifier: the
-rule, which also fixes the panel widths and the PCHIP cell and offsets
-s, s^2, s^3 of each of its sample points, and a(t) at the nodes.  One
-application then evaluates f at the nodes, integrates the density panel by
-panel and evaluates the PCHIP of F at the sample points without a search,
-with values bit for bit those of ``cumulative`` and ``GridFunction``.
+between the solve, every :func:`apply_operator` call and the verifier.  The
+plan keeps the constants of the operator on the partition: the rule, which
+also fixes the panel widths, their PCHIP weights and the PCHIP cell and
+offsets s, s^2, s^3 of each of its sample points, and a(t) at the nodes.
+One application then evaluates f at the nodes, integrates the density panel
+by panel and evaluates the PCHIP of F at the sample points without a search,
+with values bit for bit those of ``cumulative`` and ``GridFunction``.  The
+plan also keeps its last application, the nodal values and their I^beta
+rows, and hands the rows out again for the same values: the verification of
+a solve's own solution applies the operator no more.
 """
 
 import math
@@ -151,21 +155,20 @@ class Problem:
     def partition(self) -> Partition:
         return self.discretization.partition()
 
-    def _plan(self, partition: Partition) -> tuple:
-        """The operator plan on partition: its :class:`KernelAssembly` and
-        a(t) at its nodes.
+    def _plan(self, partition: Partition) -> "_Plan":
+        """The operator plan on partition (:class:`_Plan`).
 
         It is built on first use and kept on the problem, keyed by the
-        partition's nodes, so that the solve, every operator application and
-        the verification on one partition share one plan; only the latest
-        plan is kept.  ``_kept_plan`` is not a field: equality, hashing and repr
-        ignore it, and pickling and copying leave it out.
+        partition (the same object, or equal nodes), so that the solve,
+        every operator application and the verification on one partition
+        share one plan; only the latest plan is kept.  ``_kept_plan`` is not
+        a field: equality, hashing and repr ignore it, and pickling and
+        copying leave it out.
         """
         plan = self.__dict__.get("_kept_plan")
-        if plan is None or not np.array_equal(plan[0].partition.nodes, partition.nodes):
-            rule = KernelAssembly(self.kernel_params, partition,
-                                  self.discretization.points_per_panel)
-            plan = (rule, exprlang.evaluate(self.a, t=partition.nodes))
+        if plan is None or not (plan.partition is partition or np.array_equal(
+                plan.partition.nodes, partition.nodes)):
+            plan = _Plan(self, partition)
             object.__setattr__(self, "_kept_plan", plan)
         return plan
 
@@ -175,18 +178,11 @@ class Problem:
     def density(self, u: GridFunction) -> GridFunction:
         """Sample a(t) f(t, u(t)) at the partition nodes."""
         ts = u.partition.nodes
-        return u.with_values(self._density(exprlang.evaluate(self.a, t=ts), ts, u.values))
+        return u.with_values(_density(self.f, exprlang.evaluate(self.a, t=ts), ts, u.values))
 
-    def _density(self, a_nodes, ts: np.ndarray, values: np.ndarray) -> np.ndarray:
-        return a_nodes * exprlang.evaluate(self.f, t=ts, u=np.maximum(values, 0.0))
 
-    def _integrand(self, partition: Partition, values: np.ndarray) -> tuple:
-        """The kept rule on partition, and phi_q(F) at its sample points for
-        the nodal values of u, with F = int_0^s a f(., u): the density-to-F
-        path that the solver and the verifier share."""
-        rule, a_nodes = self._plan(partition)
-        density = self._density(a_nodes, partition.nodes, values)
-        return rule, rule.integrand(self.q, density)
+def _density(f: Expr, a_nodes, ts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    return a_nodes * exprlang.evaluate(f, t=ts, u=np.maximum(values, 0.0))
 
 
 @dataclass(frozen=True)
@@ -273,9 +269,12 @@ class KernelAssembly:
         half = 0.5 * (taus - lo)
         tail_x = np.empty((taus.size, m))
         tail_w = np.empty((taus.size, m))
-        # rows t_1..t_N take beta = alpha, the rows for 1 and eta alpha - 1
+        # rows t_1..t_N take beta = alpha, the rows for 1 and eta alpha - 1;
+        # scaled[beta] is the Gauss weights over Gamma(beta)
+        scaled = {}
         for rows, beta in ((slice(None, -2), alpha), (slice(-2, None), alpha - 1.0)):
             scale = 1.0 / math.gamma(beta)
+            scaled[beta] = scale * w
             xj, wj = jacobi_rule(m, beta - 1.0)
             tail_x[rows] = lo[rows, None] + half[rows, None] * (1.0 + xj)
             tail_w[rows] = scale * half[rows, None] ** beta * wj
@@ -293,9 +292,8 @@ class KernelAssembly:
             np.maximum(block, 0.0, out=block)
             split = max(min(taus.size - 2, r1) - r0, 0)  # node rows come first
             for part, beta in ((block[:split], alpha), (block[split:], alpha - 1.0)):
-                scale = 1.0 / math.gamma(beta)
                 np.power(part, beta - 1.0, out=part)
-                part *= scale * w[:cols]
+                part *= scaled[beta][:cols]
             # the Gauss-Jacobi rule replaces the shared points of a row's
             # tail cell, as far as the block stores it
             cells = m * tail[r0:r1, None] + np.arange(m)
@@ -327,20 +325,59 @@ class KernelAssembly:
         rows = np.concatenate([b @ shared[:b.shape[1]] for b in self._blocks])
         return rows + np.sum(self._tail_w * tails, axis=1)
 
-    def fractional_integral(self, g) -> np.ndarray:
-        """I^alpha g(t_i) = int_0^t_i (t_i - s)^(alpha-1) g(s) ds / Gamma(alpha)
-        at every partition node.
-
-        Here and in :meth:`apply_to`, g is a callable on arrays or the array
-        of its samples that :meth:`integrand` returns."""
-        return np.concatenate([[0.0], self._integrals(g)[:-2]])
-
     def apply_to(self, g) -> np.ndarray:
         """Values of int_0^1 K(t_i, s) g(s) ds = C0 - I^alpha g(t_i) at every
-        partition node."""
-        rows = self._integrals(g)
-        c0 = rows[-3] + rows[-2] - rows[-1]
-        return c0 - np.concatenate([[0.0], rows[:-2]])
+        partition node.
+
+        Here and in :meth:`_integrals`, g is a callable on arrays or the
+        array of its samples that :meth:`integrand` returns."""
+        return _kernel_values(self._integrals(g))
+
+
+def _at_nodes(rows: np.ndarray) -> np.ndarray:
+    """I^alpha g(t_i) = int_0^t_i (t_i - s)^(alpha-1) g(s) ds / Gamma(alpha)
+    at every partition node, from the rows of KernelAssembly._integrals."""
+    return np.concatenate([[0.0], rows[:-2]])
+
+
+def _kernel_values(rows: np.ndarray) -> np.ndarray:
+    """C0 - I^alpha g at the nodes, from the rows of KernelAssembly._integrals."""
+    c0 = rows[-3] + rows[-2] - rows[-1]
+    return c0 - _at_nodes(rows)
+
+
+class _Plan:
+    """Everything about a problem's operator on one partition that does not
+    depend on the iterate, and its last application.
+
+    The plan keeps the rule (:class:`KernelAssembly`, with the panel widths,
+    their PCHIP weights and the PCHIP cell and offsets s, s^2, s^3 of each of
+    its sample points) and a(t) at the nodes.  :meth:`rows` remembers the
+    nodal values it was last given and their I^beta rows, and returns those
+    rows again for equal values (bit for bit), so that the verification of a
+    solve's own solution does not apply the operator once more.
+    """
+
+    def __init__(self, pb: Problem, partition: Partition):
+        self.partition = partition
+        self.rule = KernelAssembly(pb.kernel_params, partition,
+                                   pb.discretization.points_per_panel)
+        self.a_nodes = exprlang.evaluate(pb.a, t=partition.nodes)
+        self._f = pb.f
+        self._q = pb.q
+        self._last = (None, None)
+
+    def rows(self, values: np.ndarray) -> np.ndarray:
+        """I^beta phi_q(F) at every target of the rule (read-only), with
+        F = int_0^s a f(., u) for the nodal values of u."""
+        last, rows = self._last
+        if last is not None and last.tobytes() == values.tobytes():
+            return rows
+        density = _density(self._f, self.a_nodes, self.partition.nodes, values)
+        rows = self.rule._integrals(self.rule.integrand(self._q, density))
+        rows.setflags(write=False)
+        self._last = (np.array(values), rows)
+        return rows
 
 
 def kernel_route(kp: KernelParams, q: float, h: GridFunction,
@@ -354,19 +391,13 @@ def kernel_route(kp: KernelParams, q: float, h: GridFunction,
     return h.with_values(rule.apply_to(rule.integrand(q, h.values)))
 
 
-def _apply(pb: Problem, partition: Partition, values: np.ndarray) -> np.ndarray:
-    """A u at the nodes, for the nodal values of a nonnegative u."""
-    rule, g = pb._integrand(partition, values)
-    return rule.apply_to(g)
-
-
 def apply_operator(pb: Problem, u: GridFunction) -> GridFunction:
     """One application of the integral operator A to a nonnegative iterate."""
     if float(np.min(u.values)) < -SAMPLING_SLACK:
         raise SolverError(
             f"iterate is negative (min {float(np.min(u.values))}); "
             "the operator is only defined on the nonnegative cone")
-    return u.with_values(_apply(pb, u.partition, u.values))
+    return u.with_values(_kernel_values(pb._plan(u.partition).rows(u.values)))
 
 
 def picard_solve(pb: Problem, u0: GridFunction | None = None,
@@ -385,9 +416,10 @@ def picard_solve(pb: Problem, u0: GridFunction | None = None,
     Picard step x + beta (A x - x).  Convergence requires both the
     successive sup-norm gap and the residual sup|u - A u| to fall below tol.
     Non-convergence within max_iter returns a report with converged = False
-    rather than raising.  So does an A x that is not finite (the iterate
-    overflowed): the solve stops at that iteration with residual = inf and
-    keeps the last iterate whose image was finite.
+    rather than raising.  So does an A x that is not finite, or an f that
+    overflows at the iterate (the iterate grew without bound): the solve
+    stops at that iteration with residual = inf and keeps the last iterate
+    whose image was finite.
     """
     SolverSettings(tol, max_iter, damping)  # range checks
     if u0 is None:
@@ -395,7 +427,16 @@ def picard_solve(pb: Problem, u0: GridFunction | None = None,
     if float(np.min(u0.values)) < -SAMPLING_SLACK:
         raise SolverError("u0 must be nonnegative")
 
-    partition = u0.partition
+    plan = pb._plan(u0.partition)
+
+    def residual_at(v):
+        """(A v - v, its sup norm), or (None, inf) where f overflows at v."""
+        try:
+            r = _kernel_values(plan.rows(v)) - v
+        except exprlang.ExprOverflowError:
+            return None, math.inf
+        return r, float(np.max(np.abs(r)))
+
     x = u0.values
     dxs: list[np.ndarray] = []
     dfs: list[np.ndarray] = []
@@ -405,8 +446,7 @@ def picard_solve(pb: Problem, u0: GridFunction | None = None,
     # an A x that overflows makes the residual non-finite, which ends the
     # solve; numpy's warnings are silenced here once, not in each application
     with np.errstate(over="ignore", invalid="ignore"):
-        f = _apply(pb, partition, x) - x
-        residual = float(np.max(np.abs(f)))
+        f, residual = residual_at(x)
         while math.isfinite(residual) and iterations < max_iter:
             iterations += 1
             step = x + damping * f
@@ -415,8 +455,7 @@ def picard_solve(pb: Problem, u0: GridFunction | None = None,
                 gamma = np.linalg.lstsq(df, f, rcond=None)[0]
                 step -= (dx + damping * df) @ gamma
             new = np.maximum(step, 0.0)
-            f_new = _apply(pb, partition, new) - new
-            residual = float(np.max(np.abs(f_new)))
+            f_new, residual = residual_at(new)
             if not math.isfinite(residual):
                 break
             gap = float(np.max(np.abs(new - x)))

@@ -251,7 +251,14 @@ def check_leray_schauder(pb: Problem, nu: float) -> TheoremReport:
     L, at = box_maximum(partial(exprlang.evaluate, pb.f), (0.0, 1.0), (0.0, nu))
     ia = _a_integral(pb)
     iphi = envelope_integral(pb.kernel_params)
-    rhs = phi(pb.q, L) * phi(pb.q, ia) * iphi
+    with np.errstate(over="ignore"):
+        scale = phi(pb.q, L) * phi(pb.q, ia)
+        if not math.isfinite(scale):
+            # phi_q of one factor overflowed, perhaps times one that underflowed
+            # to 0 (inf * 0 = nan); phi_q is multiplicative, so take it of L int a
+            product = L * ia
+            scale = phi(pb.q, product) if math.isfinite(product) else math.inf
+    rhs = scale * iphi
     checks = [InequalityCheck("nu > bound", nu > rhs, rhs, nu)]
     return TheoremReport(
         theorem="3.3",
@@ -327,7 +334,8 @@ def check_krasnoselskii(pb: Problem, rho: float, rho1: float, rho2: float,
     quantities = {"lambda1": lam1, "lambda2": lam2, "gamma": gam}
     for upper, name, cap_key, scaled, t_range, u_range in (
             boxes if expansive else boxes[::-1]):
-        cap = phi(pb.p, scaled)
+        with np.errstate(over="ignore"):  # a huge Lambda_2 makes the cap inf
+            cap = phi(pb.p, scaled)
         check, extremum = _sampled(name, f, t_range, u_range, cap, upper)
         checks.append(check)
         quantities["f_max_upper_box" if upper else "f_min_lower_box"] = extremum

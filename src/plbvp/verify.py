@@ -8,7 +8,11 @@ and a(t) at the nodes), checks the three boundary conditions by one-sided
 finite differences, and measures the cone inequality
 min_[0,rho] u >= gamma ||u||.  Because the
 integral-form residual reuses the solver's discretization, it confirms
-the fixed point of that discretization and cannot see its error.
+the fixed point of that discretization and cannot see its error.  Where u
+has, bit for bit, the nodal values of the plan's last application (the
+solution :func:`plbvp.solver.picard_solve` just returned), the integral form
+takes that application's I^beta rows rather than applying the operator
+again.
 
 Direct numerical fractional differentiation of sampled data is deliberately
 avoided: for orders in (2, 3] it is badly conditioned, while the integral
@@ -21,7 +25,7 @@ import numpy as np
 
 from .greens import cone_gamma
 from .quadrature import GridFunction
-from .solver import SAMPLING_SLACK, Problem
+from .solver import SAMPLING_SLACK, Problem, _at_nodes
 
 __all__ = [
     "VerificationReport",
@@ -83,8 +87,8 @@ def integral_form_residual(pb: Problem, u: GridFunction) -> float:
     """Sup-norm of r(t) = u(t) - u(0) + I^alpha[phi_q(F)](t) over the nodes."""
     if float(np.min(u.values)) < -SAMPLING_SLACK:
         raise ValueError("u must be nonnegative")
-    rule, g = pb._integrand(u.partition, u.values)
-    r = u.values - u.values[0] + rule.fractional_integral(g)
+    ialpha = _at_nodes(pb._plan(u.partition).rows(u.values))
+    r = u.values - u.values[0] + ialpha
     return float(np.max(np.abs(r)))
 
 

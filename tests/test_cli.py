@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +295,86 @@ def test_overflowing_solve_is_a_nonconvergence(tmp_path, capsys):
     report = _report(out)
     assert report["residual"] == "inf"
     assert report["verdict"] == "not_converged"
+
+
+def test_exponential_solve_that_overflows_f_is_a_nonconvergence(tmp_path, capsys):
+    # the iterate makes f = e^u itself overflow: exit 1 with a report, not an
+    # input error
+    path = tmp_path / "exponential.problem"
+    path.write_text('[problem]\nalpha = 2.5\neta = 0.5\np = 1.05\na = "3"\n'
+                    'f = "exp(u)"\n', encoding="utf-8")
+    code, out, err = _run(capsys, "solve", str(path), "--out", str(tmp_path / "u.csv"))
+    assert code == 1 and err == ""
+    report = _report(out)
+    assert report["residual"] == "inf"
+    assert report["verdict"] == "not_converged"
+
+
+def test_leray_schauder_near_p_one_is_a_number(tmp_path, capsys):
+    # q = 1e6 + 1: phi_q(L) = 2^q overflows and phi_q(int a) = 0.5^q
+    # underflows, so the bound is phi_q(L int a) = phi_q(1) = 1 times int Phi
+    path = tmp_path / "near_one.problem"
+    path.write_text('[problem]\nalpha = 2.5\neta = 0.5\np = 1.000001\na = "t"\n'
+                    'f = "1 + u"\n', encoding="utf-8")
+    code, out, err = _run(capsys, "check", "--theorem", "3.3", "--nu", "1", str(path))
+    assert code == 1 and err == ""
+    report = _report(out)
+    assert report["rhs"] == report["envelope_integral"]
+    assert report["verdict"] == "hypotheses_fail"
+
+
+# Extreme but valid inputs: alpha near 2, eta near 0 and 1, p near 1 and
+# large, with a coefficient vanishing at t = 0 and a superlinear f.
+SWEEP_ALPHA = ("2.000000001", "2.5", "3")
+SWEEP_ETA = ("1e-9", "0.5", "0.999999999")
+SWEEP_P = ("1.000001", "1.5", "50")
+SWEEP_COEFFICIENTS = (("t", "1 + u"), ("1", "u^2 + exp(-t)"))
+
+
+def _sweep_calls(tmp_path):
+    """(argv, allowed exit codes) of every call of the sweep."""
+    calls = []
+    for n, (alpha, eta, p, (a, f)) in enumerate(
+            (alpha, eta, p, af) for alpha in SWEEP_ALPHA for eta in SWEEP_ETA
+            for p in SWEEP_P for af in SWEEP_COEFFICIENTS):
+        path = tmp_path / f"sweep{n}.problem"
+        path.write_text(f'[problem]\nalpha = {alpha}\neta = {eta}\np = {p}\na = "{a}"\n'
+                        f'f = "{f}"\n\n[discretization]\npanels = 64\n', encoding="utf-8")
+        csv = str(tmp_path / f"sweep{n}.csv")
+        contraction = (["--theorem", "3.4", "--mu", "0.1", "--sigma", "1", "--k", "1"]
+                       if float(p) > 2.0 else ["--theorem", "3.5", "--k-env", "1", "--L", "1"])
+        calls += [(["solve", str(path), "--out", csv], (0, 1, 2)),
+                  (["verify", str(path), "--solution", csv], (0, 1, 2)),
+                  (["check", "--theorem", "3.1", "--rho1", "0.1", "--rho2", "1", str(path)],
+                   (0, 1, 2)),
+                  (["check", "--theorem", "3.3", "--nu", "1", str(path)], (0, 1, 2)),
+                  (["check", *contraction, str(path)], (0, 1, 2))]
+    path = tmp_path / "exponential.problem"
+    path.write_text('[problem]\nalpha = 2.5\neta = 0.5\np = 1.05\na = "3"\n'
+                    'f = "exp(u)"\n', encoding="utf-8")
+    calls.append((["solve", str(path), "--out", str(tmp_path / "exponential.csv")], (1,)))
+    path = tmp_path / "near_one.problem"
+    path.write_text('[problem]\nalpha = 2.5\neta = 0.5\np = 1.000001\na = "t"\n'
+                    'f = "1 + u"\n', encoding="utf-8")
+    calls.append((["check", "--theorem", "3.3", "--nu", "1", str(path)], (0, 1, 2)))
+    return calls
+
+
+def test_extreme_inputs_sweep(tmp_path, capfd):
+    # every call gives a report or one diagnostic line: no traceback, no
+    # Python warning and nothing else on stderr (capfd also sees what LAPACK
+    # prints)
+    failures = []
+    for argv, codes in _sweep_calls(tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        err = capfd.readouterr().err
+        lines = err.splitlines()
+        if caught or code not in codes or not (
+                err == "" or (len(lines) == 1 and lines[0].startswith("plbvp: error:"))):
+            failures.append((argv[:3], code, err, [str(w.message) for w in caught]))
+    assert failures == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -260,8 +260,8 @@ def _walk_evaluate(e, t=None, u=None):
     with np.errstate(all="ignore"):
         arr = np.asarray(_walk(e, env), dtype=float)
     if not np.all(np.isfinite(arr)):
-        raise ExprEvalError("evaluation produced a non-finite value", e,
-                            exprlang._witness(env, ~np.isfinite(arr)))
+        raise exprlang.ExprOverflowError("evaluation produced a non-finite value", e,
+                                         exprlang._witness(env, ~np.isfinite(arr)))
     if np.ndim(t) == 0 and np.ndim(u) == 0:
         return float(arr)
     return np.broadcast_to(arr, np.broadcast_shapes(np.shape(t), np.shape(u)))

@@ -8,6 +8,8 @@ from plbvp.quadrature import (
     GridFunction,
     Partition,
     QuadratureError,
+    _pchip_slopes,
+    _pchip_weights,
     cumulative,
     graded_edges,
     integrate,
@@ -75,6 +77,13 @@ def test_gauss_rule_weights_sum():
     assert np.all((x > 0.25) & (x < 0.75))
 
 
+def test_jacobi_rule_is_kept_read_only():
+    x, w = jacobi_rule(4, 0.7)
+    again = jacobi_rule(4, 0.7)
+    assert again[0] is x and again[1] is w
+    assert not x.flags.writeable and not w.flags.writeable
+
+
 @pytest.mark.parametrize("a", [0.02, 0.5, 1.5, 2.0])
 def test_jacobi_rule_moments(a):
     # int_{-1}^{1} (1 - x)^a (1 + x)^n dx = 2^(a+n+1) B(a+1, n+1), exact for n <= 2m - 1
@@ -116,6 +125,55 @@ def test_pchip_matches_scipy(kind):
         anti = ref.antiderivative()
         expected = anti(x) - anti(0.0)
         assert np.max(np.abs(cumulative(g).values - expected)) <= 1e-13 * scale
+
+
+def _pchip_slopes_reference(h, y):
+    """The node slopes by boolean masks, as the package computed them before
+    it kept the weights per partition and took the end slopes as floats."""
+    m = np.diff(y) / h
+    d = np.zeros_like(y)
+    inner = np.sign(m[:-1]) * np.sign(m[1:]) > 0.0
+    w1 = (2.0 * h[1:] + h[:-1])[inner]
+    w2 = (h[1:] + 2.0 * h[:-1])[inner]
+    d[1:-1][inner] = 1.0 / ((w1 / m[:-1][inner] + w2 / m[1:][inner]) / (w1 + w2))
+    h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+    end = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    end[np.sign(end) != np.sign(m0)] = 0.0
+    turn = (np.sign(m0) != np.sign(m1)) & (np.abs(end) > 3.0 * np.abs(m0))
+    end[turn] = 3.0 * m0[turn]
+    d[[0, -1]] = end
+    return d
+
+
+def _end_branch(h, y, at):
+    """Which branch the end slope at index at (0 or -1) takes: "zero" (it has
+    the wrong sign), "turn" (capped at 3 m0) or "plain"."""
+    m = np.diff(y) / h
+    h0, h1, m0, m1 = (h[0], h[1], m[0], m[1]) if at == 0 else (h[-1], h[-2], m[-1], m[-2])
+    end = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(end) != np.sign(m0):
+        return "zero"
+    if np.sign(m0) != np.sign(m1) and abs(end) > 3.0 * abs(m0):
+        return "turn"
+    return "plain"
+
+
+def test_pchip_slopes_match_the_masked_reference_bit_for_bit():
+    rng = np.random.default_rng(17)
+    branches = set()
+    for trial in range(400):
+        part = Partition.graded(int(rng.integers(4, 200)), float(rng.uniform(1.0, 3.0)))
+        h = np.diff(part.nodes)
+        kind = PCHIP_DATA[trial % len(PCHIP_DATA)]
+        y = _pchip_data(kind, rng, part.nodes.size)
+        if trial % 3 == 0:  # zeros, including at the ends and in runs
+            y[rng.integers(0, y.size, 1 + y.size // 8)] = 0.0
+            y[:int(rng.integers(0, 3))] = 0.0
+        want = _pchip_slopes_reference(h, y)
+        got = _pchip_slopes(h, y, _pchip_weights(h))
+        assert got.tobytes() == want.tobytes()
+        branches.update(_end_branch(h, y, at) for at in (0, -1))
+    assert branches == {"zero", "turn", "plain"}
 
 
 def test_partition_validation():

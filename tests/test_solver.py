@@ -12,7 +12,7 @@ import pytest
 import plbvp
 from plbvp import problemfile
 from plbvp.cases import CASES
-from plbvp.exprlang import ExprEvalError, parse
+from plbvp.exprlang import ExprEvalError, ExprOverflowError, parse
 from plbvp.greens import KernelParams, cone_gamma, phi_envelope
 from plbvp.plaplacian import phi
 from plbvp.quadrature import (
@@ -30,6 +30,7 @@ from plbvp.solver import (
     Problem,
     SolverError,
     SolverSettings,
+    _at_nodes,
     apply_operator,
     picard_solve,
 )
@@ -111,7 +112,7 @@ def test_fractional_integral_of_monomials(alpha):
     t = part.nodes
     for k in range(4):
         exact = math.gamma(k + 1) / math.gamma(k + 1 + alpha) * t ** (k + alpha)
-        ialpha = assembly.fractional_integral(lambda s: s ** k)
+        ialpha = _at_nodes(assembly._integrals(lambda s: s ** k))
         assert np.max(np.abs(ialpha - exact)) <= 1e-12
 
 
@@ -176,7 +177,7 @@ def test_blocked_rule_matches_dense_rule(panels, alpha):
         rows, _ = _dense_rule(kp, part, g)
         ialpha = np.concatenate([[0.0], rows[:-2]])
         assembly = KernelAssembly(kp, part)
-        for got, want in ((assembly.fractional_integral(g), ialpha),
+        for got, want in ((_at_nodes(assembly._integrals(g)), ialpha),
                           (assembly.apply_to(g), rows[-3] + rows[-2] - rows[-1] - ialpha)):
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
@@ -376,7 +377,7 @@ def test_integral_form_residual_shares_the_operator_plan(manufactured):
     for pb in _plan_cases(manufactured):
         u = picard_solve(pb).solution
         rule, g, _ = _operator_reference(pb, u)
-        ialpha = rule.fractional_integral(g)
+        ialpha = _at_nodes(rule._integrals(g))
         reference = float(np.max(np.abs(u.values - u.values[0] + ialpha)))
         assert integral_form_residual(pb, u) == reference
 
@@ -496,6 +497,21 @@ def test_overflowing_iterate_stops_the_solve():
     assert report.residual == math.inf
     assert report.iterations == len(report.successive_diffs) + 1 < 80
     assert np.all(np.isfinite(report.solution.values))
+
+
+def test_iterate_that_overflows_f_stops_the_solve():
+    # f = e^u overflows at the second iterate: the solve stops there, as for
+    # an A x that overflows, and keeps the last iterate whose image is finite
+    pb = _problem(a="3", f="exp(u)", p=1.05)
+    report = picard_solve(pb)
+    assert not report.converged
+    assert report.residual == math.inf
+    assert report.iterations == len(report.successive_diffs) + 1 < 80
+    assert np.all(np.isfinite(report.solution.values))
+    # a single application still raises, as every overflow of f does
+    with pytest.raises(ExprOverflowError):
+        apply_operator(pb, GridFunction.constant(pb.partition(), 1000.0))
+    assert issubclass(ExprOverflowError, ExprEvalError)
 
 
 def test_doubled_resolution_agreement():

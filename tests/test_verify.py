@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from plbvp import problemfile
 from plbvp.cases import CASES
 from plbvp.exprlang import parse
 from plbvp.greens import KernelParams, cone_gamma
 from plbvp.quadrature import GridFunction, Partition
-from plbvp.solver import Discretization, Problem, kernel_route, picard_solve
+from plbvp.solver import Discretization, KernelAssembly, Problem, kernel_route, picard_solve
 from plbvp.verify import (
     boundary_residuals,
     cone_check,
@@ -153,3 +154,42 @@ def test_integral_form_requires_nonnegative():
     part = pb.partition()
     with pytest.raises(ValueError):
         integral_form_residual(pb, GridFunction(part, np.full(part.nodes.size, -1.0)))
+
+
+def _solved(manufactured, panels=64):
+    text, _ = manufactured(2.05, 0.3, 1.5, 1.0, 1.5, 1.0)
+    pb = problemfile.loads_problem(text(panels)).problem
+    return pb, picard_solve(pb).solution
+
+
+def test_report_after_a_solve_reuses_its_last_application(manufactured, monkeypatch):
+    pb, u = _solved(manufactured)
+    calls = []
+    integrals = KernelAssembly._integrals
+
+    def counting(self, g):
+        calls.append(1)
+        return integrals(self, g)
+
+    monkeypatch.setattr(KernelAssembly, "_integrals", counting)
+    report = verification_report(pb, u, 0.5)
+    assert calls == []
+    # bit for bit the report of a new problem instance, which applies the
+    # operator afresh, field types included
+    fresh = verification_report(replace(pb), u, 0.5)
+    assert len(calls) == 1
+    assert repr(report) == repr(fresh)
+    assert [type(x) for x in report.bc_residuals] == [type(x) for x in fresh.bc_residuals]
+    assert type(report.bc_residuals[2]) is np.float64
+
+
+def test_integral_form_residual_sees_one_changed_value(manufactured):
+    pb, u = _solved(manufactured)
+    base = integral_form_residual(pb, u)
+    for k in (0, 17, u.values.size - 1):
+        values = u.values.copy()
+        values[k] *= 1.0 + 1e-6
+        changed = integral_form_residual(pb, GridFunction(u.partition, values))
+        assert changed != base
+        # and the solution itself is not confused with the changed values
+        assert integral_form_residual(pb, u) == base
