@@ -62,11 +62,22 @@ def _scalar_like(value: np.ndarray, *inputs) -> float | np.ndarray:
 
 
 def _branch(t: np.ndarray, s: np.ndarray, expo: float, gamma_value: float):
-    """((1-s)^expo - (t-s)^expo) / Gamma on s < t, (1-s)^expo / Gamma on s >= t."""
+    """((1-s)^expo - (t-s)^expo) / Gamma on s < t, (1-s)^expo / Gamma on s >= t.
+
+    The difference is not taken by subtraction: as expo = alpha - 2 tends to
+    0, both powers tend to 1 and cancel.  It is (1-s)^expo (1 - rho^expo)
+    with rho = (t-s)/(1-s), and 1 - rho^expo = -expm1(expo log rho), where
+    log rho = -log1p((1-t)/(t-s)) for rho >= 1/2.
+    """
     t, s = np.broadcast_arrays(t, s)
-    upper = (1.0 - s) ** expo
-    lower = np.where(s < t, np.maximum(t - s, 0.0) ** expo, 0.0)
-    return (upper - lower) / gamma_value
+    below = s < t
+    gap = np.where(below, t - s, 1.0)
+    rho = gap / np.where(below, 1.0 - s, 1.0)
+    # (1-t)/(t-s) overflows only for tiny t - s, where rho < 1/2 picks log rho
+    with np.errstate(over="ignore"):
+        log_rho = np.where(rho < 0.5, np.log(rho), -np.log1p((1.0 - t) / gap))
+    bracket = np.where(below, -np.expm1(expo * log_rho), 1.0)
+    return (1.0 - s) ** expo * bracket / gamma_value
 
 
 def g_kernel(kp: KernelParams, t, s):

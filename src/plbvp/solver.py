@@ -64,6 +64,17 @@ ORIGIN_LEVELS = 20
 # panels.
 BLOCK_ROWS = 32
 
+# Entries of each array that holds KernelAssembly's blocks: 3.75 MiB of
+# float64.  numpy asks the kernel for transparent huge pages for arrays of
+# 4 MiB or more, and where the kernel compacts memory to find them (THP
+# defrag "madvise"), the first writes stall: after a refinement loop, one
+# array for a 2048-panel rule took 108-135 ms to build, arrays of 3.75 MiB
+# 67-99 ms.  Freed arrays this large also raise glibc's heap trim threshold
+# above a 512-panel rule (5 MB), so that the rules of a refinement from 64
+# to 512 panels reuse their pages: none is faulted in again, against about
+# 1,400 pages per refinement with arrays of 2 MiB.
+STORE_ENTRIES = 15 << 15
+
 # Lattice of the (H1)-(H2) nonnegativity checks and the theorem checks, and
 # the float noise granted to a sampled inequality or a nonnegative iterate.
 LATTICE = 201
@@ -244,7 +255,9 @@ class KernelAssembly:
     (tau - s)^(beta - 1) / Gamma(beta) on the cells wholly below tau, and
     zeros right of them.  Only the lower part is stored, about half of the
     matrix: blocks of BLOCK_ROWS consecutive rows, each with the columns left
-    of its last tail cell.  The rule also places its sample points on the
+    of its last tail cell, laid out one after another in arrays of up to
+    STORE_ENTRIES entries.  The build raises only positive distances to
+    beta - 1 and writes the zeros directly.  The rule also places its sample points on the
     partition once (:class:`plbvp.quadrature.FixedPoints`), so that
     :meth:`integrand` samples the running integral of a nodal density
     without a search.  A :class:`Problem` builds one rule per partition and
@@ -284,21 +297,41 @@ class KernelAssembly:
         # blocking changes no bit of the result: OpenBLAS takes rows and
         # columns in fours, and numpy multiplies a one-row matrix as a dot
         # product.
-        blocks = []
-        for r0 in range(0, taus.size - 1, BLOCK_ROWS):
-            r1 = r0 + BLOCK_ROWS if r0 + BLOCK_ROWS < taus.size - 1 else taus.size
-            cols = min(-(-m * int(tail[r0:r1].max()) // 4) * 4, x.size)
-            block = taus[r0:r1, None] - x[None, :cols]
-            np.maximum(block, 0.0, out=block)
+        spans = [(r0, r0 + BLOCK_ROWS if r0 + BLOCK_ROWS < taus.size - 1 else taus.size)
+                 for r0 in range(0, taus.size - 1, BLOCK_ROWS)]
+        widths = [min(-(-m * int(tail[r0:r1].max()) // 4) * 4, x.size) for r0, r1 in spans]
+        sizes = [(r1 - r0) * cols for (r0, r1), cols in zip(spans, widths)]
+        # consecutive blocks share an array while they fit in STORE_ENTRIES
+        stores = []
+        for size in sizes:
+            if not stores or stores[-1] + size > STORE_ENTRIES:
+                stores.append(0)
+            stores[-1] += size
+        stores = iter(stores)
+        blocks, store, start = [], np.empty(0), 0
+        for (r0, r1), cols, size in zip(spans, widths, sizes):
+            if start + size > store.size:
+                store, start = np.empty(next(stores)), 0
+            block = store[start:start + size].reshape(r1 - r0, cols)
+            start += size
+            np.subtract(taus[r0:r1, None], x[None, :cols], out=block)
+            # Left of the block's first tail cell every tau - s is positive.
+            # From there on the distances are taken as |tau - s|, not clipped
+            # at 0: pow is several times slower on 0 than on a positive base,
+            # and gives nan on a negative one.  Those entries are zeroed
+            # below.  The first tail cell is the smallest tail's, since the
+            # last block's taus (t_N, 1, eta) are not monotone.
+            ends = m * tail[r0:r1, None]  # first column of each row's tail cell
+            first = int(ends.min())
+            stair = block[:, first:]
+            np.abs(stair, out=stair)
             split = max(min(taus.size - 2, r1) - r0, 0)  # node rows come first
             for part, beta in ((block[:split], alpha), (block[split:], alpha - 1.0)):
                 np.power(part, beta - 1.0, out=part)
                 part *= scaled[beta][:cols]
             # the Gauss-Jacobi rule replaces the shared points of a row's
-            # tail cell, as far as the block stores it
-            cells = m * tail[r0:r1, None] + np.arange(m)
-            i, j = np.nonzero(cells < cols)
-            block[i, cells[i, j]] = 0.0
+            # tail cell, and the cells right of it lie above tau
+            stair[np.arange(first, cols) >= ends] = 0.0
             blocks.append(block)
         self._blocks = blocks
         self._shared = x.size

@@ -54,14 +54,20 @@ class VerificationReport:
 def fd_weights(x0: float, xs, m: int) -> np.ndarray:
     """Finite-difference weights for the m-th derivative at x0 on nodes xs.
 
-    Fornberg's recurrence; exact for polynomials of degree len(xs) - 1.
+    Fornberg's recurrence; exact for polynomials of degree len(xs) - 1.  It
+    runs on Python floats, which index and multiply faster than numpy
+    scalars, in the same IEEE arithmetic.  The weights are a strided column
+    of the n x (m + 1) table: numpy sums a dot product with a strided vector
+    in another order than with a contiguous one, and the boundary residuals
+    keep that order to the last bit.
     """
-    xs = np.asarray(xs, dtype=float)
-    n = xs.size
+    xs = np.asarray(xs, dtype=float).tolist()
+    x0 = float(x0)
+    n = len(xs)
     if m >= n:
         raise ValueError("need more nodes than the derivative order")
-    c = np.zeros((n, m + 1))
-    c[0, 0] = 1.0
+    c = [[0.0] * (m + 1) for _ in range(n)]
+    c[0][0] = 1.0
     c1 = 1.0
     c4 = xs[0] - x0
     for i in range(1, n):
@@ -74,13 +80,13 @@ def fd_weights(x0: float, xs, m: int) -> np.ndarray:
             c2 *= c3
             if j == i - 1:
                 for s in range(mn, 0, -1):
-                    c[i, s] = c1 * (s * c[i - 1, s - 1] - c5 * c[i - 1, s]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+                    c[i][s] = c1 * (s * c[i - 1][s - 1] - c5 * c[i - 1][s]) / c2
+                c[i][0] = -c1 * c5 * c[i - 1][0] / c2
             for s in range(mn, 0, -1):
-                c[j, s] = (c4 * c[j, s] - s * c[j, s - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
+                c[j][s] = (c4 * c[j][s] - s * c[j][s - 1]) / c3
+            c[j][0] = c4 * c[j][0] / c3
         c1 = c2
-    return c[:, m]
+    return np.array(c)[:, m]
 
 
 def integral_form_residual(pb: Problem, u: GridFunction) -> float:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from plbvp import greens
@@ -105,6 +105,27 @@ def test_cone_gamma_to_a_few_ulp(alpha, eta, rho):
         exact = (1 - mp.mpf(eta) ** (a - 2)) * (1 - mp.mpf(rho) ** (a - 1))
         error = abs(cone_gamma(KernelParams(alpha, eta), rho) / exact - 1)
     assert error <= 4.0 * 2.0**-52
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.floats(2.0, 3.0, exclude_min=True),
+       t=st.floats(0.0, 1.0), s=st.floats(0.0, 1.0))
+@example(alpha=2.0 + 1e-9, t=0.9999266976564318, s=0.6304089010971554)
+@example(alpha=2.0 + 1e-6, t=0.9999999999999125, s=0.999997330766276)
+@example(alpha=2.0 + 1e-9, t=5e-324, s=0.0)  # (1 - t)/(t - s) overflows
+def test_kernel_differences_to_a_few_ulp(alpha, t, s):
+    # s < t, where G and H are (1 - s)^e - (t - s)^e over Gamma, and the two
+    # powers nearly cancel for alpha near 2
+    assume(s < t)
+    mp = pytest.importorskip("mpmath")
+    kp = KernelParams(alpha, 0.5)
+    for kernel, expo, gamma_value in ((g_kernel, alpha - 1.0, math.gamma(alpha)),
+                                      (h_kernel, alpha - 2.0, math.gamma(alpha - 1.0))):
+        with mp.workdps(50):
+            e = mp.mpf(expo)
+            exact = ((1 - mp.mpf(s)) ** e - (mp.mpf(t) - mp.mpf(s)) ** e) / mp.mpf(gamma_value)
+            error = abs(kernel(kp, t, s) - exact)
+        assert error <= 4.0 * 2.0**-52 * exact
 
 
 def test_cone_gamma_domain():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import plbvp
-from plbvp import problemfile
+from plbvp import problemfile, solver
 from plbvp.cases import CASES
 from plbvp.exprlang import ExprEvalError, ExprOverflowError, parse
 from plbvp.greens import KernelParams, cone_gamma, phi_envelope
@@ -24,7 +24,9 @@ from plbvp.quadrature import (
     panel_rule,
 )
 from plbvp.solver import (
+    BLOCK_ROWS,
     ORIGIN_LEVELS,
+    STORE_ENTRIES,
     Discretization,
     KernelAssembly,
     Problem,
@@ -132,10 +134,9 @@ def test_c0_with_eta_just_above_a_node(alpha, delta):
     assert abs(c0 - exact) <= 1e-12
 
 
-def _dense_rule(kp, partition, g, m=4):
-    """Reference: KernelAssembly's rule with its full weight matrix, zeros
-    right of each row's tail cell included, applied in one product.  Returns
-    I^beta g at t_1..t_N, 1 and eta, and the bytes of the matrix."""
+def _rule_geometry(kp, partition, m):
+    """KernelAssembly's cell edges, shared Gauss points and weights, targets
+    and the tail cell of each target, built as the rule builds them."""
     nodes = partition.nodes
     halves = 0.5 ** np.arange(ORIGIN_LEVELS, 0, -1)
     edges = np.concatenate([[0.0], nodes[1] * halves, nodes[1:]])
@@ -143,7 +144,14 @@ def _dense_rule(kp, partition, g, m=4):
     edges = np.insert(edges, k, edges[k] - (edges[k] - edges[k - 1]) * halves[::-1])
     x, w = panel_rule(edges, m)
     taus = np.concatenate([nodes[1:], [1.0, kp.eta]])
-    tail = np.searchsorted(edges, taus) - 1
+    return edges, x, w, taus, np.searchsorted(edges, taus) - 1
+
+
+def _dense_rule(kp, partition, g, m=4):
+    """Reference: KernelAssembly's rule with its full weight matrix, zeros
+    right of each row's tail cell included, applied in one product.  Returns
+    I^beta g at t_1..t_N, 1 and eta, and the bytes of the matrix."""
+    edges, x, w, taus, tail = _rule_geometry(kp, partition, m)
     lo = edges[tail]
     half = 0.5 * (taus - lo)
     weights = np.maximum(taus[:, None] - x[None, :], 0.0)
@@ -157,6 +165,67 @@ def _dense_rule(kp, partition, g, m=4):
         tail_w[rows] = scale * half[rows, None] ** beta * wj
     weights[np.arange(taus.size)[:, None], tail[:, None] * m + np.arange(m)] = 0.0
     return weights @ g(x) + np.sum(tail_w * g(tail_x), axis=1), weights.nbytes
+
+
+def _reference_blocks(kp, partition, m):
+    """Reference: KernelAssembly's stored blocks built one array per block,
+    every distance clipped at 0 and raised to beta - 1, zeros included, and
+    the tail cells zeroed by index."""
+    _, x, w, taus, tail = _rule_geometry(kp, partition, m)
+    scaled = {beta: (1.0 / math.gamma(beta)) * w for beta in (kp.alpha, kp.alpha - 1.0)}
+    blocks = []
+    for r0 in range(0, taus.size - 1, BLOCK_ROWS):
+        r1 = r0 + BLOCK_ROWS if r0 + BLOCK_ROWS < taus.size - 1 else taus.size
+        cols = min(-(-m * int(tail[r0:r1].max()) // 4) * 4, x.size)
+        block = taus[r0:r1, None] - x[None, :cols]
+        np.maximum(block, 0.0, out=block)
+        split = max(min(taus.size - 2, r1) - r0, 0)
+        for part, beta in ((block[:split], kp.alpha), (block[split:], kp.alpha - 1.0)):
+            np.power(part, beta - 1.0, out=part)
+            part *= scaled[beta][:cols]
+        cells = m * tail[r0:r1, None] + np.arange(m)
+        i, j = np.nonzero(cells < cols)
+        block[i, cells[i, j]] = 0.0
+        blocks.append(block)
+    return blocks
+
+
+def _arrays_of(blocks, limit):
+    """The arrays that hold the blocks, after checking that each holds a run
+    of consecutive blocks, back to back, within limit entries or alone."""
+    arrays = []
+    for block in blocks:
+        assert block.base is not None
+        if not arrays or block.base is not arrays[-1]:
+            arrays.append(block.base)
+    assert len({id(array) for array in arrays}) == len(arrays)
+    for array in arrays:
+        run = [block for block in blocks if block.base is array]
+        assert np.concatenate([block.ravel() for block in run]).tobytes() == array.tobytes()
+        assert len(run) == 1 or array.size <= limit
+    return arrays
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("panels", [4, 64, 95, 128, 257])
+@pytest.mark.parametrize("m", [2, 4, 6])
+@pytest.mark.parametrize("limit", [STORE_ENTRIES, 20000])
+def test_blocks_match_the_per_block_construction_bit_for_bit(panels, m, limit, monkeypatch):
+    # at 95 panels the last block takes a one-row remainder besides the C0
+    # rows; eta near 0, inside a panel, on a node and next to 1.  Every rule
+    # here fits in one array of STORE_ENTRIES; in arrays of 20000 entries,
+    # from 64 panels on, some blocks share an array and some take their own.
+    monkeypatch.setattr(solver, "STORE_ENTRIES", limit)
+    part = Partition.graded(panels, 2.0)
+    for alpha in (2.0 + 1e-9, 2.05, 2.5, 3.0):
+        for eta in (1e-9, 0.3, float(part.nodes[panels // 2]), 1.0 - 1e-9):
+            kp = KernelParams(alpha, eta)
+            blocks = KernelAssembly(kp, part, m)._blocks
+            want = _reference_blocks(kp, part, m)
+            assert [b.shape for b in blocks] == [b.shape for b in want]
+            assert all(b.tobytes() == ref.tobytes() for b, ref in zip(blocks, want))
+            arrays = _arrays_of(blocks, limit)
+            assert len(arrays) == 1 or limit < STORE_ENTRIES
 
 
 @pytest.mark.parametrize("panels", [4, 5, 31, 33, 64, 257])

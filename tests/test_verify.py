@@ -36,6 +36,51 @@ def test_fd_weights_standard_stencils():
         coef[1] + 2 * coef[2] * 0.2 + 3 * coef[3] * 0.04, rel=1e-10)
 
 
+def _fd_weights_on_arrays(x0, xs, m):
+    """Reference: Fornberg's recurrence on a numpy table and numpy scalars."""
+    xs = np.asarray(xs, dtype=float)
+    n = xs.size
+    c = np.zeros((n, m + 1))
+    c[0, 0] = 1.0
+    c1 = 1.0
+    c4 = xs[0] - x0
+    for i in range(1, n):
+        mn = min(i, m)
+        c2 = 1.0
+        c5 = c4
+        c4 = xs[i] - x0
+        for j in range(i):
+            c3 = xs[i] - xs[j]
+            c2 *= c3
+            if j == i - 1:
+                for s in range(mn, 0, -1):
+                    c[i, s] = c1 * (s * c[i - 1, s - 1] - c5 * c[i - 1, s]) / c2
+                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+            for s in range(mn, 0, -1):
+                c[j, s] = (c4 * c[j, s] - s * c[j, s - 1]) / c3
+            c[j, 0] = c4 * c[j, 0] / c3
+        c1 = c2
+    return c[:, m]
+
+
+def test_fd_weights_match_the_recurrence_on_arrays_bit_for_bit():
+    # the weights, their strides and their dot products with nodal values,
+    # on the stencils boundary_residuals takes and on random ones
+    rng = np.random.default_rng(7)
+    nodes = Partition.graded(128, 2.0).nodes
+    stencils = [(nodes[0], nodes[:4], 1), (nodes[0], nodes[:4], 2), (nodes[-1], nodes[-4:], 1),
+                (0.3, nodes[60:64], 1)]
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        xs = np.sort(rng.uniform(size=n))
+        stencils.append((float(rng.uniform()), xs, int(rng.integers(0, n))))
+    for x0, xs, m in stencils:
+        got, want = fd_weights(x0, xs, m), _fd_weights_on_arrays(x0, xs, m)
+        assert got.tobytes() == want.tobytes() and got.strides == want.strides
+        vals = rng.uniform(size=len(xs))
+        assert (got @ vals).tobytes() == (want @ vals).tobytes()
+
+
 def test_zero_solution_zero_residuals():
     pb = _problem(f="0")
     u = GridFunction.constant(pb.partition(), 0.0)
