@@ -23,8 +23,9 @@ A problem file is a sectioned key = value text document:
     [cone]
     rho = 0.5
 
-Only [problem] is mandatory; omitted keys take the defaults shown, those of
-Discretization, SolverSettings and ProblemConfig.
+The table _FORMAT states this format once; loading and dump_problem follow
+it.  Only [problem] is mandatory; an omitted key takes the default shown,
+that of its field of Discretization, SolverSettings or ProblemConfig.
 points_per_panel sets the Gauss points per cell of the solver's
 fractional-integral operator and per panel of the theorem checks.
 interpolation accepts only cubic, the shape-preserving PCHIP that is the
@@ -66,11 +67,26 @@ class ProblemConfig:
             raise ValueError("rho must lie in (0, 1)")
 
 
-_SECTIONS = {
-    "problem": ("alpha", "eta", "p", "a", "f"),
-    "discretization": ("panels", "points_per_panel", "grading", "interpolation"),
-    "solver": ("tol", "max_iter", "damping"),
-    "cone": ("rho",),
+def _interpolation(raw: str) -> str:
+    if raw != Discretization.interpolation:
+        raise ValueError(f"{raw!r}: cubic (PCHIP) is the only interpolation rule")
+    return raw
+
+
+# section: {key: (converter, name in diagnostics)}, sections and keys in file order
+_FORMAT = {
+    "problem": {
+        "alpha": (float, "alpha"), "eta": (float, "eta"), "p": (float, "p"),
+        "a": (lambda raw: exprlang.parse(raw, variables=("t",)), "expression for a(t)"),
+        "f": (exprlang.parse, "expression for f(t, u)"),
+    },
+    "discretization": {
+        "panels": (int, "panels"), "points_per_panel": (int, "points_per_panel"),
+        "grading": (float, "grading"), "interpolation": (_interpolation, "interpolation"),
+    },
+    "solver": {"tol": (float, "tol"), "max_iter": (int, "max_iter"),
+               "damping": (float, "damping")},
+    "cone": {"rho": (float, "rho")},
 }
 
 
@@ -85,7 +101,7 @@ def _parse_lines(text: str, path: str | None):
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip().lower()
-            if name not in _SECTIONS:
+            if name not in _FORMAT:
                 raise ProblemFileError(f"unknown section [{name}]", lineno, path)
             if name in sections:
                 raise ProblemFileError(f"duplicate section [{name}]", lineno, path)
@@ -100,7 +116,7 @@ def _parse_lines(text: str, path: str | None):
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        if key not in _SECTIONS[current]:
+        if key not in _FORMAT[current]:
             raise ProblemFileError(f"unknown key {key!r} in [{current}]", lineno, path)
         if key in sections[current]:
             raise ProblemFileError(f"duplicate key {key!r}", lineno, path)
@@ -112,62 +128,33 @@ def _parse_lines(text: str, path: str | None):
     return sections, section_lines
 
 
-def _interpolation(raw: str) -> str:
-    if raw != "cubic":
-        raise ValueError(f"{raw!r}: cubic (PCHIP) is the only interpolation rule")
-    return raw
-
-
-def _take(section: dict, key: str, convert, *, path=None, what=""):
-    if key not in section:
-        raise ProblemFileError(f"missing key {key!r}", None, path)
-    raw, lineno = section[key]
-    try:
-        return convert(raw)
-    except ValueError as exc:  # an ExprError is a ValueError
-        raise ProblemFileError(f"bad {what or key}: {exc}", lineno, path) from exc
-
-
-def _stated(section: dict, converters, path) -> dict:
-    """The converted keys of section that it states, as keyword arguments."""
-    return {key: _take(section, key, convert, path=path)
-            for key, convert in converters if key in section}
-
-
 def loads_problem(text: str, path: str | None = None) -> ProblemConfig:
     sections, section_lines = _parse_lines(text, path)
-    prob = sections["problem"]
+    stated = {}  # section -> {key: value}, converted in table order
+    for name, keys in _FORMAT.items():
+        values = stated[name] = {}
+        for key, (convert, what) in keys.items():
+            if key not in sections.get(name, {}):
+                if name == "problem":
+                    raise ProblemFileError(f"missing key {key!r}", None, path)
+                continue
+            raw, lineno = sections[name][key]
+            try:
+                values[key] = convert(raw)
+            except ValueError as exc:  # an ExprError is a ValueError
+                raise ProblemFileError(f"bad {what}: {exc}", lineno, path) from exc
+    stated["discretization"].pop("interpolation", None)  # checked, not stored
 
-    alpha = _take(prob, "alpha", float, path=path)
-    eta = _take(prob, "eta", float, path=path)
-    p = _take(prob, "p", float, path=path)
-    a = _take(prob, "a", lambda s: exprlang.parse(s, variables=("t",)),
-              path=path, what="expression for a(t)")
-    f = _take(prob, "f", exprlang.parse, path=path, what="expression for f(t, u)")
-
-    disc_sec = sections.get("discretization", {})
-    disc_kwargs = _stated(disc_sec, (("panels", int), ("points_per_panel", int),
-                                     ("grading", float)), path)
-    _stated(disc_sec, (("interpolation", _interpolation),), path)  # validated, not stored
-    solver_kwargs = _stated(sections.get("solver", {}), (
-        ("tol", float), ("max_iter", int), ("damping", float)), path)
-    cone_kwargs = _stated(sections.get("cone", {}), (("rho", float),), path)
-
-    def _build(factory, kwargs, section_name):
+    def _build(name, factory, **kwargs):
         try:
-            return factory(**kwargs)
+            return factory(**stated[name], **kwargs)
         except ValueError as exc:
-            raise ProblemFileError(str(exc), section_lines.get(section_name),
-                                   path) from exc
+            raise ProblemFileError(str(exc), section_lines.get(name), path) from exc
 
-    discretization = _build(Discretization, disc_kwargs, "discretization")
-    problem = _build(Problem, dict(alpha=alpha, eta=eta, p=p, a=a, f=f,
-                                   discretization=discretization), "problem")
-    settings = _build(SolverSettings, solver_kwargs, "solver")
-    try:
-        return ProblemConfig(problem=problem, solver=settings, **cone_kwargs)
-    except ValueError as exc:
-        raise ProblemFileError(str(exc), section_lines.get("cone"), path) from exc
+    discretization = _build("discretization", Discretization)
+    problem = _build("problem", Problem, discretization=discretization)
+    settings = _build("solver", SolverSettings)
+    return _build("cone", ProblemConfig, problem=problem, solver=settings)
 
 
 def load_problem(path) -> ProblemConfig:
@@ -178,29 +165,15 @@ def load_problem(path) -> ProblemConfig:
 def dump_problem(config: ProblemConfig) -> str:
     """Canonical problem file text; reloading yields an identical config."""
     pb = config.problem
-    d = pb.discretization
-    s = config.solver
-    lines = [
-        "[problem]",
-        f"alpha = {pb.alpha!r}",
-        f"eta = {pb.eta!r}",
-        f"p = {pb.p!r}",
-        f'a = "{exprlang.to_text(pb.a)}"',
-        f'f = "{exprlang.to_text(pb.f)}"',
-        "",
-        "[discretization]",
-        f"panels = {d.panels}",
-        f"points_per_panel = {d.points_per_panel}",
-        f"grading = {d.grading!r}",
-        "interpolation = cubic",
-        "",
-        "[solver]",
-        f"tol = {s.tol!r}",
-        f"max_iter = {s.max_iter}",
-        f"damping = {s.damping!r}",
-        "",
-        "[cone]",
-        f"rho = {config.rho!r}",
-        "",
-    ]
+    sources = {"problem": pb, "discretization": pb.discretization,
+               "solver": config.solver, "cone": config}
+    lines = []
+    for name, keys in _FORMAT.items():
+        lines.append(f"[{name}]")
+        for key in keys:
+            value = getattr(sources[name], key)
+            if isinstance(value, exprlang.Expr):
+                value = f'"{exprlang.to_text(value)}"'
+            lines.append(f"{key} = {value}")
+        lines.append("")
     return "\n".join(lines)

@@ -151,8 +151,11 @@ class Partition:
             raise ValueError("partition needs at least 4 panels (5 nodes)")
         if nodes[0] != 0.0 or nodes[-1] != 1.0:
             raise ValueError("partition must span [0, 1] exactly")
-        if np.any(np.diff(nodes) <= 0.0):
-            raise ValueError("partition nodes must be strictly increasing")
+        increasing = np.diff(nodes) > 0.0  # False at a nan node too
+        if not np.all(increasing):
+            i = int(np.argmin(increasing))
+            raise ValueError("partition nodes must be strictly increasing: "
+                             f"nodes[{i}:{i + 2}] = {nodes[i:i + 2].tolist()}")
         nodes = nodes.copy()
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)

@@ -32,6 +32,7 @@ a solve's own solution applies the operator no more.
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -103,6 +104,8 @@ class Discretization:
     panels: int = 256
     points_per_panel: int = 4
     grading: float = 2.0
+    # not a setting: the package's one interpolation rule, shape-preserving PCHIP
+    interpolation: ClassVar[str] = "cubic"
 
     def __post_init__(self):
         if self.panels < 4:
@@ -111,6 +114,11 @@ class Discretization:
             raise ValueError("points_per_panel must be >= 2")
         if not (math.isfinite(self.grading) and self.grading >= 1.0):
             raise ValueError("grading exponent must be >= 1")
+        try:  # too steep a grading rounds the last nodes together
+            self.partition()
+        except ValueError as exc:
+            raise ValueError(f"grading {self.grading!r} at {self.panels} panels: "
+                             f"{exc}") from exc
 
     def partition(self) -> Partition:
         return Partition.graded(self.panels, self.grading)
@@ -221,19 +229,13 @@ class SolverSettings:
 
 @dataclass
 class SolveReport:
-    """Outcome of a fixed-point run; damping_used is its mixing parameter."""
+    """Outcome of a fixed-point run."""
 
     solution: GridFunction
     iterations: int
     successive_diffs: list
     residual: float
     converged: bool
-    damping_used: float
-    # The existence theorems guarantee a fixed point but prescribe no
-    # iteration, so convergence of the mixed iteration is heuristic.  A
-    # contraction certificate for the same problem makes the fixed point
-    # unique, and plain Picard iteration converge to it geometrically.
-    convergence_basis: str = "heuristic-picard"
 
 
 class KernelAssembly:
@@ -507,5 +509,4 @@ def picard_solve(pb: Problem, u0: GridFunction | None = None,
         successive_diffs=diffs,
         residual=residual,
         converged=converged,
-        damping_used=damping,
     )

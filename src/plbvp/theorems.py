@@ -279,22 +279,22 @@ def check_leray_schauder(pb: Problem, nu: float) -> TheoremReport:
 
 def check_krasnoselskii(pb: Problem, rho: float, rho1: float, rho2: float,
                         M1: float | None = None, M2: float | None = None,
-                        variant: str = "expansive_3_1") -> TheoremReport:
+                        theorem: str = "3.1") -> TheoremReport:
     """Cone expansion/compression hypotheses.
 
-    variant "expansive_3_1": f <= phi_p(M1 rho2) on [0,1] x [0, rho2] and
+    theorem "3.1" (expansive): f <= phi_p(M1 rho2) on [0,1] x [0, rho2] and
     f >= phi_p(M2 rho1) on [0, rho] x [gamma rho1, rho1], with rho1 < rho2,
     M2 rho1 < M1 rho2, M1 in (0, Lambda1], M2 in [Lambda2, inf).
 
-    variant "compressive_3_2": f >= phi_p(M2 rho2) on [0, rho] x
+    theorem "3.2" (compressive): f >= phi_p(M2 rho2) on [0, rho] x
     [gamma rho2, rho2] and f <= phi_p(M1 rho1) on [0,1] x [0, rho1], with
     gamma rho2 < rho1 < rho2 and M1 rho1 > M2 rho2.
 
     Omitted M1 / M2 default to Lambda1 / Lambda2(rho).  Every precondition
     is itself checked and reported.
     """
-    if variant not in ("expansive_3_1", "compressive_3_2"):
-        raise ValueError(f"unknown variant {variant!r}")
+    if theorem not in ("3.1", "3.2"):
+        raise ValueError(f"unknown theorem {theorem!r}")
     _positive("rho1", rho1)
     _positive("rho2", rho2)
     lam1 = lambda1(pb)
@@ -313,8 +313,7 @@ def check_krasnoselskii(pb: Problem, rho: float, rho1: float, rho2: float,
     ]
     # 3.1 bounds f above on the rho2 box and below on the rho1 box; 3.2 does
     # the reverse and lists the lower box first.
-    expansive = variant == "expansive_3_1"
-    theorem = "3.1" if expansive else "3.2"
+    expansive = theorem == "3.1"
     up, low = ("rho2", "rho1") if expansive else ("rho1", "rho2")
     r_up, r_low = (rho2, rho1) if expansive else (rho1, rho2)
     if not expansive:

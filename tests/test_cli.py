@@ -419,6 +419,22 @@ def test_verify_rejects_bad_csv(tmp_path, capsys, ex41_file):
     assert code == 2
 
 
+@pytest.mark.parametrize("case", ["ex42", "ex43"])
+def test_verify_rejects_nan_nodes(tmp_path, capsys, case):
+    problem = tmp_path / f"{case}.problem"
+    _run(capsys, "dump", case, "--out", str(problem))
+    csv = tmp_path / "u.csv"
+    code, _, _ = _run(capsys, "solve", str(problem), "--panels", "8", "--out", str(csv))
+    assert code == 0
+    rows = csv.read_text(encoding="utf-8").splitlines()
+    rows[3] = "nan," + rows[3].partition(",")[2]
+    csv.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code, out, err = _run(capsys, "verify", str(problem), "--solution", str(csv))
+    assert code == 2 and out == ""
+    assert "partition nodes must be strictly increasing: nodes[1:3] = [" in err
+    assert err.rstrip().endswith(", nan]")
+
+
 def test_console_script_entry_dumps_bundled_file(monkeypatch, capsys):
     # entry() is what the installed plbvp console script runs
     monkeypatch.setattr(sys, "argv", ["plbvp", "dump", "ex41"])

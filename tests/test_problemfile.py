@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from plbvp.exprlang import to_text
@@ -23,6 +25,10 @@ f = "0.5*t*ln(u+1)"
 [solver]
 tol = 1e-9
 """
+
+# Every key of the format, each at a value other than its default, in the
+# canonical text that dump_problem writes.
+NONDEFAULT = Path(__file__).with_name("nondefault.problem")
 
 
 def test_load_minimal_with_defaults():
@@ -50,12 +56,38 @@ def test_unquoted_expressions_accepted():
     assert to_text(config.problem.a) == "exp(t)"
 
 
-def test_line_numbered_value_diagnostics():
-    bad = EX41_TEXT.replace("alpha = 2.5", "alpha = wide")
+# (key, bad value, its line in NONDEFAULT, diagnostic)
+BAD_VALUES = [
+    ("alpha", "wide", 2, "bad alpha: could not convert string to float: 'wide'"),
+    ("eta", "half", 3, "bad eta: could not convert string to float: 'half'"),
+    ("p", "three", 4, "bad p: could not convert string to float: 'three'"),
+    ("a", '"1.0 + t)"', 5,
+     "bad expression for a(t): unexpected trailing input ')' (at offset 7)"),
+    ("f", '"exp(-t)*(0.5 + u"', 6,
+     "bad expression for f(t, u): expected ')', found 'end of input' (at offset 16)"),
+    ("panels", "64.5", 9, "bad panels: invalid literal for int() with base 10: '64.5'"),
+    ("points_per_panel", "six", 10,
+     "bad points_per_panel: invalid literal for int() with base 10: 'six'"),
+    ("grading", "steep", 11, "bad grading: could not convert string to float: 'steep'"),
+    ("interpolation", "linear", 12,
+     "bad interpolation: 'linear': cubic (PCHIP) is the only interpolation rule"),
+    ("tol", "tiny", 15, "bad tol: could not convert string to float: 'tiny'"),
+    ("max_iter", "1e3", 16, "bad max_iter: invalid literal for int() with base 10: '1e3'"),
+    ("damping", "half", 17, "bad damping: could not convert string to float: 'half'"),
+    ("rho", "0.3.1", 20, "bad rho: could not convert string to float: '0.3.1'"),
+]
+
+
+@pytest.mark.parametrize("key, bad, line, message", BAD_VALUES,
+                         ids=[key for key, *_ in BAD_VALUES])
+def test_line_numbered_value_diagnostics(key, bad, line, message):
+    lines = NONDEFAULT.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert lines[line - 1].startswith(f"{key} = ")
+    lines[line - 1] = f"{key} = {bad}\n"
     with pytest.raises(ProblemFileError) as err:
-        loads_problem(bad, path="case.problem")
-    assert "case.problem:3" in str(err.value)
-    assert err.value.line == 3
+        loads_problem("".join(lines), path="case.problem")
+    assert str(err.value) == f"case.problem:{line}: {message}"
+    assert err.value.line == line
 
 
 def test_line_numbered_expression_diagnostics():
@@ -119,15 +151,37 @@ def test_interpolation_accepts_only_cubic():
     assert "cubic (PCHIP) is the only interpolation rule" in str(err.value)
 
 
-def test_round_trip_identity(tmp_path):
-    config = loads_problem(EX41_TEXT)
+@pytest.mark.parametrize("text, discretization, settings, rho", [
+    (EX41_TEXT, Discretization(), SolverSettings(tol=1e-9), 0.5),
+    (NONDEFAULT.read_text(encoding="utf-8"), Discretization(64, 6, 1.5),
+     SolverSettings(1e-8, 12, 0.5), 0.3),
+], ids=["ex41", "nondefault"])
+def test_round_trip_identity(tmp_path, text, discretization, settings, rho):
+    config = loads_problem(text)
     text = dump_problem(config)
     again = loads_problem(text)
     assert again.problem == config.problem
     assert again.solver == config.solver
     assert again.rho == config.rho
+    # every stated value survives load -> dump -> load
+    assert again.problem.discretization == discretization
+    assert again.solver == settings
+    assert again.rho == rho
     # and canonical text is a fixed point of dump(load(.))
     assert dump_problem(again) == text
     path = tmp_path / "case.problem"
     path.write_text(text, encoding="utf-8")
     assert load_problem(path).problem == config.problem
+
+
+@pytest.mark.parametrize("panels, grading", [(256, 8), (64, 10), (1024, 6)])
+def test_collapsing_grading_is_a_discretization_error(panels, grading):
+    text = EX41_TEXT + f"\n[discretization]\npanels = {panels}\ngrading = {grading}\n"
+    with pytest.raises(ProblemFileError) as err:
+        loads_problem(text, path="case.problem")
+    assert err.value.line == 12  # the [discretization] section header
+    assert str(err.value).startswith(
+        f"case.problem:12: grading {float(grading)!r} at {panels} panels: "
+        "partition nodes must be strictly increasing: nodes[")
+    with pytest.raises(ValueError, match="strictly increasing"):
+        Discretization(panels, grading=grading)

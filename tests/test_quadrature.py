@@ -183,6 +183,9 @@ def test_partition_validation():
         Partition(np.array([0.0, 0.5, 0.4, 0.7, 1.0]))
     with pytest.raises(ValueError):
         Partition(np.array([0.1, 0.3, 0.5, 0.7, 1.0]))
+    # a nan node compares false both ways; the message names the nodes
+    with pytest.raises(ValueError, match=r"increasing: nodes\[1:3\] = \[0.3, nan\]"):
+        Partition(np.array([0.0, 0.3, np.nan, 0.7, 1.0]))
     part = Partition.graded(8, 2.0)
     assert part.nodes.size - 1 == 8
     assert Partition.graded(16, 2.0).nodes.size - 1 == 16

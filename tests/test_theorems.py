@@ -496,7 +496,7 @@ def test_krasnoselskii_report_layout():
         "lambda1", "lambda2", "gamma", "f_max_upper_box", "phi_p_M1_rho2",
         "f_min_lower_box", "phi_p_M2_rho1",
     ]
-    rep = check_krasnoselskii(case.problem, case.rho, 0.5, 1.0, variant="compressive_3_2")
+    rep = check_krasnoselskii(case.problem, case.rho, 0.5, 1.0, theorem="3.2")
     assert [c.name for c in rep.checks] == [
         "0 < M1", "M1 <= Lambda1", "M2 >= Lambda2", "rho1 < rho2", "gamma*rho2 < rho1",
         "M1*rho1 > M2*rho2",
@@ -542,7 +542,7 @@ def test_krasnoselskii_compressive_variant():
     # the checker must evaluate and report them as printed.
     case = CASES["ex43"]
     rep = check_krasnoselskii(case.problem, case.rho, 0.5, 1.0,
-                              variant="compressive_3_2")
+                              theorem="3.2")
     assert rep.theorem == "3.2"
     assert not rep.holds
     assert any(c.name == "M1*rho1 > M2*rho2" and not c.holds for c in rep.checks)
@@ -558,7 +558,7 @@ def test_krasnoselskii_rejects_bad_inputs():
     with pytest.raises(ValueError):
         check_krasnoselskii(case.problem, 0.5, -0.1, 1.0)
     with pytest.raises(ValueError):
-        check_krasnoselskii(case.problem, 0.5, 0.1, 1.0, variant="sideways")
+        check_krasnoselskii(case.problem, 0.5, 0.1, 1.0, theorem="3.3")
     _assert_rejects_nonpositive(lambda v: check_krasnoselskii(case.problem, 0.5, v, 1.0),
                                 "rho1")
     _assert_rejects_nonpositive(lambda v: check_krasnoselskii(case.problem, 0.5, 0.1, v),
