@@ -41,7 +41,6 @@ from .theorems import (
 from .verify import (
     VerificationReport,
     boundary_residuals,
-    cone_check,
     integral_form_residual,
     verification_report,
 )

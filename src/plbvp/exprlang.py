@@ -45,18 +45,6 @@ __all__ = [
     "variables_of",
 ]
 
-FUNCTIONS = {
-    "sin": 1,
-    "cos": 1,
-    "exp": 1,
-    "ln": 1,
-    "sqrt": 1,
-    "abs": 1,
-    "pow": 2,
-    "min": 2,
-    "max": 2,
-}
-
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
 DEFAULT_VARIABLES = ("t", "u")
@@ -226,7 +214,7 @@ class _Parser:
                 return Const(text)
             if text in self.variables:
                 return Var(text)
-            if text in FUNCTIONS:
+            if text in _CALLS:
                 raise ExprSyntaxError(f"function {text!r} needs arguments", offset)
             raise ExprSyntaxError(f"unknown identifier {text!r}", offset)
         if kind == "(":
@@ -238,7 +226,7 @@ class _Parser:
                               offset)
 
     def parse_call(self, name: str, offset: int) -> Expr:
-        if name not in FUNCTIONS:
+        if name not in _CALLS:
             raise ExprSyntaxError(f"unknown function {name!r}", offset)
         self.expect("(")
         args = [self.parse_expr()]
@@ -246,7 +234,7 @@ class _Parser:
             self.advance()
             args.append(self.parse_expr())
         self.expect(")")
-        arity = FUNCTIONS[name]
+        arity = _CALLS[name][0]
         if len(args) != arity:
             raise ExprSyntaxError(
                 f"{name} takes {arity} argument{'s' if arity > 1 else ''}, got {len(args)}",
@@ -337,7 +325,7 @@ def _compile(e: Expr):
     if isinstance(e, Bin):
         return _BINARY[e.op](e, _compile(e.lhs), _compile(e.rhs))
     if isinstance(e, Call):
-        return _CALLS[e.fn](e, *map(_compile, e.args))
+        return _CALLS[e.fn][1](e, *map(_compile, e.args))
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -433,16 +421,17 @@ _BINARY = {
     "^": _power,
 }
 
+# Each function's arity, which the parser checks, and the maker of its closure.
 _CALLS = {
-    "sin": _elementwise(np.sin),
-    "cos": _elementwise(np.cos),
-    "exp": _elementwise(np.exp),
-    "abs": _elementwise(np.abs),
-    "ln": _checked(np.log, lambda x: x > 0.0, "log of a nonpositive value"),
-    "sqrt": _checked(np.sqrt, lambda x: x >= 0.0, "square root of a negative value"),
-    "pow": _power,
-    "min": _elementwise(np.minimum),
-    "max": _elementwise(np.maximum),
+    "sin": (1, _elementwise(np.sin)),
+    "cos": (1, _elementwise(np.cos)),
+    "exp": (1, _elementwise(np.exp)),
+    "abs": (1, _elementwise(np.abs)),
+    "ln": (1, _checked(np.log, lambda x: x > 0.0, "log of a nonpositive value")),
+    "sqrt": (1, _checked(np.sqrt, lambda x: x >= 0.0, "square root of a negative value")),
+    "pow": (2, _power),
+    "min": (2, _elementwise(np.minimum)),
+    "max": (2, _elementwise(np.maximum)),
 }
 
 

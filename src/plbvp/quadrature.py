@@ -286,8 +286,11 @@ class GridFunction:
             raise ValueError(
                 f"expected {self.partition.nodes.size} values, got {values.size}"
             )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("grid function values must be finite")
+        finite = np.isfinite(values)
+        if not np.all(finite):
+            i = int(np.argmin(finite))
+            raise ValueError("grid function values must be finite: "
+                             f"values[{i}] = {float(values[i])!r}")
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)

@@ -267,8 +267,6 @@ class KernelAssembly:
     """
 
     def __init__(self, kp: KernelParams, partition: Partition, points: int = 4):
-        self.kp = kp
-        self.partition = partition
         m = points
         nodes = partition.nodes
         alpha = kp.alpha

@@ -297,6 +297,9 @@ def check_krasnoselskii(pb: Problem, rho: float, rho1: float, rho2: float,
         raise ValueError(f"unknown theorem {theorem!r}")
     _positive("rho1", rho1)
     _positive("rho2", rho2)
+    for name, given in (("M1", M1), ("M2", M2)):
+        if given is not None and not math.isfinite(given):
+            raise ValueError(f"{name} must be finite, got {given!r}")
     lam1 = lambda1(pb)
     lam2 = lambda2(pb, rho)
     gam = cone_gamma(pb.kernel_params, rho)
@@ -333,8 +336,9 @@ def check_krasnoselskii(pb: Problem, rho: float, rho1: float, rho2: float,
     quantities = {"lambda1": lam1, "lambda2": lam2, "gamma": gam}
     for upper, name, cap_key, scaled, t_range, u_range in (
             boxes if expansive else boxes[::-1]):
-        with np.errstate(over="ignore"):  # a huge Lambda_2 makes the cap inf
-            cap = phi(pb.p, scaled)
+        # a huge Lambda_2, or an M * rho that overflowed, makes the cap +-inf
+        with np.errstate(over="ignore"):
+            cap = phi(pb.p, scaled) if math.isfinite(scaled) else scaled
         check, extremum = _sampled(name, f, t_range, u_range, cap, upper)
         checks.append(check)
         quantities["f_max_upper_box" if upper else "f_min_lower_box"] = extremum

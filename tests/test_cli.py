@@ -412,6 +412,45 @@ def test_zero_panels_rejected(capsys, ex43_file):
     assert "panels must be >= 4" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--rho2", "1", "--M1", "nan"], "M1 must be finite, got nan"),
+    (["--rho2", "1", "--M2", "inf"], "M2 must be finite, got inf"),
+], ids=["M1_nan", "M2_inf"])
+def test_check_nonfinite_m_exits_two(capsys, argv, message):
+    code, out, err = _run(capsys, "check", "--theorem", "3.1", "--rho1", "0.008333", *argv,
+                          str(PROBLEMS / "ex43.problem"))
+    assert code == 2 and out == ""
+    assert err == f"plbvp: error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, cap_key", [
+    (["3.1", "--rho1", "0.008333", "--rho2", "10", "--M1", "1e308"], "phi_p_M1_rho2"),
+    (["3.2", "--rho1", "0.5", "--rho2", "1e300", "--M2", "1e10"], "phi_p_M2_rho2"),
+], ids=["M1_rho2", "M2_rho2"])
+def test_check_overflowing_cap_is_a_report(capsys, argv, cap_key):
+    code, out, err = _run(capsys, "check", "--theorem", *argv, str(PROBLEMS / "ex43.problem"))
+    assert code == 1 and err == ""
+    report = _report(out)
+    assert report[cap_key] == "inf"
+    assert report["verdict"] == "hypotheses_fail"
+
+
+@pytest.mark.parametrize("cell, shown", [("", "nan"), ("nan", "nan"), ("inf", "inf"),
+                                         ("-inf", "-inf")],
+                         ids=["blank", "nan", "inf", "minus_inf"])
+def test_verify_names_the_first_nonfinite_value(tmp_path, capsys, ex43_file, cell, shown):
+    csv = tmp_path / "u.csv"
+    code, _, _ = _run(capsys, "solve", str(ex43_file), "--panels", "16", "--out", str(csv))
+    assert code == 0
+    rows = csv.read_text(encoding="utf-8").splitlines()
+    for k in (3, 5):
+        rows[k] = rows[k].partition(",")[0] + "," + cell
+    csv.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    code, out, err = _run(capsys, "verify", str(ex43_file), "--solution", str(csv))
+    assert code == 2 and out == ""
+    assert err == f"plbvp: error: grid function values must be finite: values[2] = {shown}\n"
+
+
 def test_verify_rejects_bad_csv(tmp_path, capsys, ex41_file):
     path = tmp_path / "bad.csv"
     path.write_text("x,y\n0,0\n", encoding="utf-8")

@@ -565,6 +565,31 @@ def test_krasnoselskii_rejects_bad_inputs():
                                 "rho2")
 
 
+@pytest.mark.parametrize("given", [{"M1": math.nan}, {"M2": math.inf}, {"M1": -math.inf}],
+                         ids=["M1_nan", "M2_inf", "M1_minus_inf"])
+def test_krasnoselskii_rejects_nonfinite_m(given):
+    case = CASES["ex43"]
+    (name, value), = given.items()
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+        check_krasnoselskii(case.problem, case.rho, case.rho1, case.rho2, **given)
+
+
+@pytest.mark.parametrize("theorem, rho1, rho2, given, cap_key, upper", [
+    ("3.1", 0.008333, 10.0, {"M1": 1e308}, "phi_p_M1_rho2", math.inf),
+    ("3.2", 0.5, 1e300, {"M2": 1e10}, "phi_p_M2_rho2", math.inf),
+    ("3.1", 0.008333, 10.0, {"M1": -1e308}, "phi_p_M1_rho2", -math.inf),
+], ids=["M1_rho2", "M2_rho2", "negative_M1_rho2"])
+def test_krasnoselskii_overflowing_cap_is_infinite(theorem, rho1, rho2, given, cap_key, upper):
+    # phi_p(+-inf) = +-inf, so a cap whose argument M * rho overflowed is that
+    # infinity, and the report states it
+    case = CASES["ex43"]
+    rep = check_krasnoselskii(case.problem, case.rho, rho1, rho2, theorem=theorem, **given)
+    assert rep.quantities[cap_key] == upper
+    assert not rep.holds
+    if upper < 0.0:  # M1 <= 0 stays a reported check
+        assert [c.holds for c in rep.checks if c.name == "0 < M1"] == [False]
+
+
 # --- theorem 3.5 (1 < p < 2) ----------------------------------------------
 
 def test_contraction_small_p_ex42():

@@ -9,8 +9,9 @@ from plbvp.greens import KernelParams, cone_gamma
 from plbvp.quadrature import GridFunction, Partition
 from plbvp.solver import Discretization, KernelAssembly, Problem, kernel_route, picard_solve
 from plbvp.verify import (
+    _DENSE_SAMPLES,
+    VerificationReport,
     boundary_residuals,
-    cone_check,
     fd_weights,
     integral_form_residual,
     verification_report,
@@ -172,12 +173,75 @@ def test_cone_check_cases():
     part = pb.partition()
     gam = cone_gamma(pb.kernel_params, 0.5)
     c = 0.6
-    slack = cone_check(pb, GridFunction.constant(part, c), 0.5)
+    slack = verification_report(pb, GridFunction.constant(part, c), 0.5).cone_slack
     assert slack == pytest.approx(c * (1.0 - gam), rel=1e-10)
     # u(t) = t is not a solution shape: min on [0, rho] is 0, sup is 1
-    slack = cone_check(pb, GridFunction(part, part.nodes.copy()), 0.5)
+    slack = verification_report(pb, GridFunction(part, part.nodes.copy()), 0.5).cone_slack
     assert slack == pytest.approx(-gam, rel=1e-10)
     assert slack < 0.0
+
+
+def _sorted_dense_report(pb, u, rho):
+    """Reference: the report from u evaluated twice, on the sorted union of
+    each interval's dense grid and the nodes in it."""
+    def dense(hi):
+        nodes = u.partition.nodes
+        xs = np.linspace(0.0, hi, _DENSE_SAMPLES + 1)
+        return u(np.unique(np.concatenate([xs, nodes[(nodes >= 0.0) & (nodes <= hi)]])))
+
+    whole = dense(1.0)
+    gam = cone_gamma(pb.kernel_params, rho)
+    return VerificationReport(
+        integral_form_residual=integral_form_residual(pb, u),
+        bc_residuals=boundary_residuals(pb, u),
+        positivity_min=float(np.min(whole)),
+        cone_slack=float(np.min(dense(rho)) - gam * np.max(np.abs(whole))),
+        sup_norm=float(np.max(np.abs(whole))),
+    )
+
+
+def test_report_matches_sorted_dense_points_bit_for_bit(manufactured):
+    pb, solution = _solved(manufactured)
+    part = solution.partition
+    nodes = part.nodes
+    rng = np.random.default_rng(5)
+    functions = [solution, GridFunction.constant(part, 0.6), GridFunction(part, nodes.copy()),
+                 GridFunction(part, rng.uniform(0.0, 2.0, nodes.size))]
+    between = 0.5 * (nodes[9] + nodes[10])
+    for u in functions:
+        for rho in (0.5, float(nodes[9]), between, 1e-9):
+            got, want = verification_report(pb, u, rho), _sorted_dense_report(pb, u, rho)
+            assert repr(got) == repr(want)
+            assert [type(x) for x in got.bc_residuals] == [type(x) for x in want.bc_residuals]
+
+
+def test_report_evaluates_the_interpolant_once(manufactured, monkeypatch):
+    pb, u = _solved(manufactured)
+    calls = []
+    evaluate = GridFunction.__call__
+
+    def counting(self, x):
+        calls.append(np.size(x))
+        return evaluate(self, x)
+
+    monkeypatch.setattr(GridFunction, "__call__", counting)
+    verification_report(pb, u, 0.5)
+    assert len(calls) == 1
+    # both grids, the nodes and the nodes in [0, rho]
+    nodes = u.partition.nodes
+    assert calls[0] == 2 * (_DENSE_SAMPLES + 1) + nodes.size + int(np.sum(nodes <= 0.5))
+
+
+def test_report_errors_keep_their_order():
+    pb = _problem()
+    coarse = Partition.graded(8)
+    negative = GridFunction(coarse, np.full(coarse.nodes.size, -1.0))
+    with pytest.raises(ValueError, match="u must be nonnegative"):
+        verification_report(pb, negative, 2.0)
+    with pytest.raises(ValueError, match="grid too coarse"):
+        verification_report(pb, GridFunction.constant(coarse, 0.5), 2.0)
+    with pytest.raises(ValueError, match="rho must lie in"):
+        verification_report(pb, GridFunction.constant(pb.partition(), 0.5), 2.0)
 
 
 def test_route_equivalence_random_densities(kernel_reference):
