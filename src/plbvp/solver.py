@@ -82,6 +82,12 @@ LATTICE = 201
 WIDE_U_MAX = 100.0
 SAMPLING_SLACK = 1e-12
 
+# Texts (a, f) of the coefficient pairs that passed Problem's lattice check,
+# oldest first, and how many are remembered.  Texts, not expressions: an
+# expression, and the compiled form it keeps, dies with its problem.
+_VALIDATED: dict = {}
+VALIDATED_MAX = 64
+
 # Differences of iterates and residuals that picard_solve's Anderson step
 # mixes.  Over 91 scan instances at 128 panels, memory 2 took 509 iterations
 # in all, memory 3 took 528 and memory 5 took 552.
@@ -131,7 +137,15 @@ class Problem:
     alpha in (2, 3] is the fractional order, eta in (0, 1) the interior
     boundary point, p > 1 the p-Laplacian exponent; a references only t and
     f references t and u.  Nonnegativity of a and f is enforced by sampling
-    over the lattice (t in [0, 1], u in [0, WIDE_U_MAX]).
+    over the lattice (t in [0, 1], u in [0, WIDE_U_MAX]), once per pair of
+    coefficients: a pair that passed is remembered by its texts (see
+    ``_VALIDATED``), so a problem reloaded or copied with other settings
+    samples neither again.
+
+    A problem keeps what its computations share, as ``_kept``: the operator
+    plan (:meth:`_plan`) and the values of :meth:`_keep`.  ``_kept`` is not a
+    field: equality, hashing and repr ignore it, and pickling and copying
+    leave it out.
     """
 
     alpha: float
@@ -151,6 +165,9 @@ class Problem:
         extra = exprlang.variables_of(self.f) - {"t", "u"}
         if extra:
             raise ValueError(f"f(t, u) may reference only t and u, found {sorted(extra)}")
+        texts = (exprlang.to_text(self.a), exprlang.to_text(self.f))
+        if texts in _VALIDATED:
+            return
         ts = np.linspace(0.0, 1.0, LATTICE)
         avals = exprlang.evaluate(self.a, t=ts)
         if np.min(avals) < -SAMPLING_SLACK:
@@ -162,6 +179,9 @@ class Problem:
             i, j = np.unravel_index(int(np.argmin(fvals)), fvals.shape)
             raise ValueError(
                 f"f(t, u) is negative: f({ts[i]}, {us[j]}) = {fvals[i, j]}")
+        _VALIDATED[texts] = None
+        if len(_VALIDATED) > VALIDATED_MAX:
+            del _VALIDATED[next(iter(_VALIDATED))]
 
     @property
     def q(self) -> float:
@@ -180,19 +200,28 @@ class Problem:
         It is built on first use and kept on the problem, keyed by the
         partition (the same object, or equal nodes), so that the solve,
         every operator application and the verification on one partition
-        share one plan; only the latest plan is kept.  ``_kept_plan`` is not
-        a field: equality, hashing and repr ignore it, and pickling and
-        copying leave it out.
+        share one plan; only the latest plan is kept.
         """
-        plan = self.__dict__.get("_kept_plan")
+        kept = self.__dict__.setdefault("_kept", {})
+        plan = kept.get("plan")
         if plan is None or not (plan.partition is partition or np.array_equal(
                 plan.partition.nodes, partition.nodes)):
-            plan = _Plan(self, partition)
-            object.__setattr__(self, "_kept_plan", plan)
+            plan = kept["plan"] = _Plan(self, partition)
         return plan
 
+    def _keep(self, key, compute):
+        """The value kept under key, or else compute(), kept under key.
+
+        The theorem checks keep here what they share (see
+        :mod:`plbvp.theorems`): values fixed by the problem's fields and
+        by key.  A compute() that raises keeps nothing."""
+        kept = self.__dict__.setdefault("_kept", {})
+        if key not in kept:
+            kept[key] = compute()
+        return kept[key]
+
     def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_kept_plan"}
+        return {k: v for k, v in self.__dict__.items() if k != "_kept"}
 
     def density(self, u: GridFunction) -> GridFunction:
         """Sample a(t) f(t, u(t)) at the partition nodes."""

@@ -6,7 +6,14 @@ two contraction regimes) on a concrete problem, samples the required
 inequalities on f, and returns an auditable :class:`TheoremReport` with a
 hypotheses_hold / hypotheses_fail verdict.  int_0^1 Phi is taken in closed
 form from :func:`plbvp.greens.envelope_integral`, and every inequality on f
-over a box is sampled by :func:`_sampled`.
+over a box is decided by :func:`_sampled` from a sampled extremum.
+
+A problem keeps what the checks share (see ``Problem._keep``): int_0^1 a,
+used by Lambda_1, 3.3, 3.4 and 3.5; Lambda_2 for each rho, used by 3.1 and
+3.2; and f's sampled maximum or minimum with its witness for each box, so
+3.3 with nu = rho2 and 3.1 sample [0, 1] x [0, rho2] once.  The sampled
+inequalities of 3.4 and 3.5 depend on their own inputs and are not kept.
+A computation that raises keeps nothing: the next call raises again.
 
 Sampling makes these semi-decisions: a violated inequality is certified
 exactly by its witness point, while a satisfied one is certified only up to
@@ -91,9 +98,11 @@ class TheoremReport:
 
 
 def _a_integral(pb: Problem) -> float:
+    """int_0^1 a, kept on pb."""
     d = pb.discretization
-    return integrate(lambda s: exprlang.evaluate(pb.a, t=s), 0.0, 1.0,
-                     panels=d.panels, points=d.points_per_panel)
+    return pb._keep("a_integral", lambda: integrate(
+        lambda s: exprlang.evaluate(pb.a, t=s), 0.0, 1.0,
+        panels=d.panels, points=d.points_per_panel))
 
 
 def _positive_a_integral(pb: Problem, constant: str) -> float:
@@ -121,19 +130,25 @@ def lambda1(pb: Problem) -> float:
 
 
 def lambda2(pb: Problem, rho: float) -> float:
-    """Lambda_2 = ( gamma * int_0^rho Phi(s) phi_q(int_0^s a) ds )^(-1).
+    """Lambda_2 = ( gamma * int_0^rho Phi(s) phi_q(int_0^s a) ds )^(-1),
+    kept on pb for each rho.
 
     One composite Gauss rule on [0, rho] takes the outer integral.  Its
     panels also give int_0^s a at each of its nodes s as a running integral:
     the rule's sums over the whole panels left of s, plus an m-point Gauss
     rule on [left edge, s].
     """
+    return pb._keep(("lambda2", float(rho)), lambda: _lambda2(pb, rho))
+
+
+def _lambda2(pb: Problem, rho: float) -> float:
     kp = pb.kernel_params
     gam = cone_gamma(kp, rho)
     m = pb.discretization.points_per_panel
     edges = graded_edges(0.0, rho, pb.discretization.panels)
     x, w = panel_rule(edges, m)
-    at_edges = np.cumsum((w * exprlang.evaluate(pb.a, t=x)).reshape(-1, m).sum(axis=1))
+    a_x = exprlang.evaluate(pb.a, t=x)
+    at_edges = np.cumsum((w * a_x).reshape(-1, m).sum(axis=1))
     left = np.repeat(edges[:-1], m)
     unit_x, unit_w = panel_rule(np.array([0.0, 1.0]), m)
     width = x - left
@@ -143,7 +158,9 @@ def lambda2(pb: Problem, rho: float) -> float:
     value = gam * integral
     if not (value > 0.0 and math.isfinite(1.0 / value)):
         a_rho = float(at_edges[-1])
-        if not a_rho > 0.0:
+        if a_rho == 0.0 and (np.any(a_x > 0.0) or _underflows(pb.a, x)):
+            cause = f"int_0^rho a underflows to 0 (rho = {rho!r})"
+        elif not a_rho > 0.0:
             cause = f"a(t) vanishes on [0, rho] (int_0^rho a = {a_rho!r})"
         elif not (integral > 0.0 and math.isfinite(1.0 / integral)):
             cause = f"phi_q(int_0^s a) underflows (q = {pb.q!r}, int_0^rho a = {a_rho!r})"
@@ -153,6 +170,17 @@ def lambda2(pb: Problem, rho: float) -> float:
         raise ValueError(f"gamma int_0^rho Phi(s) phi_q(int_0^s a) ds = {value!r} is "
                          f"too small to invert: {cause}, so Lambda_2 is undefined")
     return 1.0 / value
+
+
+def _underflows(e: Expr, t: np.ndarray) -> bool:
+    """Whether evaluating e at t underflows: a value of a that is 0 at every
+    sample may be too small for a float, not vanish."""
+    with np.errstate(under="raise"):
+        try:
+            exprlang.evaluate(e, t=t)
+        except FloatingPointError:
+            return True
+    return False
 
 
 def _patterns(centre, lo, hi, halves):
@@ -232,14 +260,23 @@ def box_minimum(fn, t_range, u_range, lattice: int = LATTICE):
     return -value, at
 
 
-def _sampled(name: str, fn, t_range, u_range, bound: float, upper: bool):
-    """(check, extremum) of fn <= bound (upper) or fn >= bound on the box,
-    up to SAMPLING_SLACK, from fn's sampled maximum or minimum."""
+def _f_extremum(pb: Problem, t_range, u_range, upper: bool):
+    """f's sampled maximum (upper) or minimum on the box and its witness,
+    kept on pb for each box.  The checks' boxes have ends >= +0.0, so equal
+    keys are equal lattices."""
+    search = box_maximum if upper else box_minimum
+    key = ("f", upper, *map(float, t_range), *map(float, u_range))
+    return pb._keep(key, lambda: search(partial(exprlang.evaluate, pb.f), t_range, u_range))
+
+
+def _sampled(name: str, found, bound: float, upper: bool):
+    """(check, extremum) of fn <= bound (upper) or fn >= bound on a box, up
+    to SAMPLING_SLACK, from found: fn's sampled maximum or minimum there and
+    its witness."""
+    value, at = found
     if upper:
-        value, at = box_maximum(fn, t_range, u_range)
         return InequalityCheck(name, value <= bound + SAMPLING_SLACK, value, bound,
                                witness=at), value
-    value, at = box_minimum(fn, t_range, u_range)
     return InequalityCheck(name, value >= bound - SAMPLING_SLACK, bound, value,
                            witness=at), value
 
@@ -248,7 +285,7 @@ def check_leray_schauder(pb: Problem, nu: float) -> TheoremReport:
     """Nonlinear-alternative condition nu > L^(q-1) phi_q(int a) int Phi,
     with L the sampled maximum of f over [0, 1] x [0, nu]."""
     _positive("nu", nu)
-    L, at = box_maximum(partial(exprlang.evaluate, pb.f), (0.0, 1.0), (0.0, nu))
+    L, at = _f_extremum(pb, (0.0, 1.0), (0.0, nu), upper=True)
     ia = _a_integral(pb)
     iphi = envelope_integral(pb.kernel_params)
     with np.errstate(over="ignore"):
@@ -326,7 +363,6 @@ def check_krasnoselskii(pb: Problem, rho: float, rho1: float, rho2: float,
         "M2*rho1 < M1*rho2" if expansive else "M1*rho1 > M2*rho2",
         M2 * r_low < M1 * r_up, M2 * r_low, M1 * r_up))
 
-    f = partial(exprlang.evaluate, pb.f)
     boxes = [  # (upper, check name, cap key, phi_p argument, t range, u range)
         (True, f"f <= phi_p(M1*{up}) on [0,1]x[0,{up}]", f"phi_p_M1_{up}",
          M1 * r_up, (0.0, 1.0), (0.0, r_up)),
@@ -339,7 +375,8 @@ def check_krasnoselskii(pb: Problem, rho: float, rho1: float, rho2: float,
         # a huge Lambda_2, or an M * rho that overflowed, makes the cap +-inf
         with np.errstate(over="ignore"):
             cap = phi(pb.p, scaled) if math.isfinite(scaled) else scaled
-        check, extremum = _sampled(name, f, t_range, u_range, cap, upper)
+        check, extremum = _sampled(name, _f_extremum(pb, t_range, u_range, upper),
+                                   cap, upper)
         checks.append(check)
         quantities["f_max_upper_box" if upper else "f_min_lower_box"] = extremum
         quantities[cap_key] = cap
@@ -377,10 +414,9 @@ def check_contraction_small_p(pb: Problem, k_env: Expr, L: float) -> TheoremRepo
     k_min = float(np.min(kv))
     checks = [InequalityCheck("k >= 0 on [0,1]", k_min >= -SAMPLING_SLACK, 0.0, k_min,
                               witness=(float(ts[int(np.argmin(kv))]), None))]
-    checks.append(_sampled(
-        "f <= k on [0,1]x[0,u_max]",
+    checks.append(_sampled("f <= k on [0,1]x[0,u_max]", box_maximum(
         lambda t, u: exprlang.evaluate(pb.f, t=t, u=u) - exprlang.evaluate(k_env, t=t),
-        (0.0, 1.0), (0.0, WIDE_U_MAX), 0.0, upper=True)[0])
+        (0.0, 1.0), (0.0, WIDE_U_MAX)), 0.0, upper=True)[0])
 
     ia = _a_integral(pb)
     m_value = integrate(
@@ -443,8 +479,9 @@ def check_contraction_large_p(pb: Problem, mu: float, sigma: float,
                 - exprlang.evaluate(pb.a, t=t) * exprlang.evaluate(pb.f, t=t, u=u))
 
     t_min = 1.0 / (LATTICE - 1)
-    checks = [_sampled("a*f >= mu*sigma*t^(sigma-1) on (0,1]x[0,u_max]", deficit,
-                       (t_min, 1.0), (0.0, WIDE_U_MAX), 0.0, upper=True)[0]]
+    checks = [_sampled("a*f >= mu*sigma*t^(sigma-1) on (0,1]x[0,u_max]",
+                       box_maximum(deficit, (t_min, 1.0), (0.0, WIDE_U_MAX)),
+                       0.0, upper=True)[0]]
 
     ia = _positive_a_integral(pb, "the bound on k")
     beta_value = beta(pb.alpha - 1.0, c + 1.0)

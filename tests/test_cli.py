@@ -237,6 +237,17 @@ def test_underflowing_lambda1_exits_two(tmp_path, capsys, argv):
     assert "Lambda_1 is undefined" in err
 
 
+@pytest.mark.parametrize("rho", ["1e-300", "1e-200"])
+def test_underflowing_lambda2_integral_is_named(capsys, rho):
+    # a = 2.5 t^1.5 is positive on [0, rho]; its integral, 1e-750 or 1e-500,
+    # is not a float
+    code, out, err = _run(capsys, "check", "--theorem", "3.1", "--rho1", "0.008333",
+                          "--rho2", "1", "--rho", rho, str(PROBLEMS / "ex43.problem"))
+    assert code == 2 and out == ""
+    assert f"int_0^rho a underflows to 0 (rho = {rho})" in err
+    assert "vanishes" not in err
+
+
 @pytest.mark.parametrize("a", ["1e-155", "1e-156"])
 def test_lambda1_too_small_to_invert_exits_two(tmp_path, capsys, a):
     # phi_q(int_0^1 a) = a^2 is subnormal, so 1 / it overflows to inf

@@ -36,6 +36,13 @@ from plbvp.solver import (
     apply_operator,
     picard_solve,
 )
+from plbvp.theorems import (
+    check_contraction_large_p,
+    check_krasnoselskii,
+    check_leray_schauder,
+    lambda1,
+    lambda2,
+)
 from plbvp.verify import integral_form_residual, verification_report
 
 
@@ -284,19 +291,87 @@ def test_problem_builds_one_assembly_per_partition(monkeypatch):
 
 
 def test_kept_assembly_is_invisible():
-    pb = replace(CASES["ex43"].problem)  # a new instance, with no rule kept yet
+    pb = replace(CASES["ex43"].problem)  # a new instance, with nothing kept yet
     fresh, key = pickle.dumps(pb), hash(pb)
     assert len(fresh) == 534
     report = picard_solve(pb)
+    # the theorem checks keep int_0^1 a, Lambda_2 and f's box extrema beside the plan
+    l1, l2 = lambda1(pb), lambda2(pb, 0.5)
+    check_leray_schauder(pb, 1.0)
+    check_krasnoselskii(pb, 0.5, 1.0 / 120.0, 1.0)
+    check_contraction_large_p(pb, 0.005, 1.5, 0.01)
+    assert set(pb.__dict__["_kept"]) > {"plan", "a_integral", ("lambda2", 0.5)}
     assert pickle.dumps(pb) == fresh
     assert hash(pb) == key and pb == replace(pb) and repr(pb) == repr(replace(pb))
     clone = copy.deepcopy(pb)
-    assert clone == pb and hash(clone) == key
+    assert clone == pb and hash(clone) == key and "_kept" not in clone.__dict__
     assert np.array_equal(picard_solve(clone).solution.values, report.solution.values)
+    # a copy with other panels computes int_0^1 a and Lambda_2 on its own
+    coarse = replace(pb, discretization=replace(pb.discretization, panels=64))
+    assert "_kept" not in coarse.__dict__
+    assert lambda2(coarse, 0.5) != l2
+    assert lambda1(coarse) != l1 and lambda1(coarse) == lambda1(replace(coarse))
+    assert lambda2(coarse, 0.5) == lambda2(replace(coarse), 0.5)
+    assert (lambda1(pb), lambda2(pb, 0.5)) == (l1, l2)
     ref = weakref.ref(pb)
-    del pb, report
+    del pb, report, coarse
     gc.collect()
     assert ref() is None
+
+
+def _lattice_samples(monkeypatch) -> list:
+    """A list that gets each expression Problem's check evaluates on its
+    lattice, as it is evaluated."""
+    samples = []
+    evaluate = solver.exprlang.evaluate
+
+    def counting(e, t=None, u=None):
+        if np.size(t) == solver.LATTICE:
+            samples.append(e)
+        return evaluate(e, t=t, u=u)
+
+    monkeypatch.setattr(solver.exprlang, "evaluate", counting)
+    return samples
+
+
+def test_checked_coefficients_are_not_sampled_again(monkeypatch):
+    monkeypatch.setattr(solver, "_VALIDATED", {})
+    samples = _lattice_samples(monkeypatch)
+    first = _problem(a="1 + t", f="(2 + u)/3")
+    assert len(samples) == 2  # a, then f
+    # new expressions with the same texts, and a copy with other panels
+    again = _problem(a="1 + t", f="(2 + u)/3", panels=64)
+    replace(first, discretization=Discretization(panels=32))
+    assert len(samples) == 2
+    assert list(solver._VALIDATED) == [("1.0 + t", "(2.0 + u)/3.0")]
+    # the kept texts are strings only: no expression outlives its problem
+    refs = [weakref.ref(x) for x in (first, first.a, first.f, again.a)]
+    del first, again, samples[:]
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+def test_failed_coefficient_check_is_not_kept(monkeypatch):
+    monkeypatch.setattr(solver, "_VALIDATED", {})
+    samples = _lattice_samples(monkeypatch)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as err:
+            _problem(f="u - 50")
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == "f(t, u) is negative: f(0.0, 0.0) = -50.0"
+    assert len(samples) == 4  # a and f, twice
+    assert not solver._VALIDATED
+
+
+def test_checked_coefficients_are_bounded(monkeypatch):
+    monkeypatch.setattr(solver, "_VALIDATED", {})
+    for k in range(solver.VALIDATED_MAX + 3):
+        _problem(f=f"u + {k}")
+    kept = list(solver._VALIDATED)
+    assert len(kept) == solver.VALIDATED_MAX
+    assert kept[0] == ("1.0", "u + 3.0")
+    assert kept[-1] == ("1.0", f"u + {solver.VALIDATED_MAX + 2.0}")
 
 
 def test_operator_samples_density_once():

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from plbvp import theorems
 from plbvp.cases import CASES
-from plbvp.exprlang import evaluate, parse
+from plbvp.exprlang import ExprEvalError, evaluate, parse
 from plbvp.solver import Discretization, Problem, picard_solve
 from plbvp.specialfn import gamma
 from plbvp.theorems import (
@@ -131,18 +132,28 @@ def test_lambda2_too_small_to_invert_is_a_value_error(a):
         lambda2(_problem(a=a, p=1.5), 0.5)
 
 
-@pytest.mark.parametrize("pb, cause", [
-    (_problem(a="0", p=3.5), "a(t) vanishes on [0, rho]"),
+@pytest.mark.parametrize("pb, rho, cause", [
+    (_problem(a="0", p=3.5), 0.5, "a(t) vanishes on [0, rho]"),
+    # 0 at every sample of the rule, and no underflow: a vanishes there
+    (_problem(a="max(t - 0.5, 0)", p=3.5), 0.3,
+     "a(t) vanishes on [0, rho] (int_0^rho a = 0.0)"),
+    # a > 0 at the samples, but each weight times a underflows
+    (_problem(a="2.5*t*sqrt(t)", p=3.5), 1e-200,
+     "int_0^rho a underflows to 0 (rho = 1e-200)"),
+    # t sqrt(t) itself underflows to 0 at every sample
+    (_problem(a="2.5*t*sqrt(t)", p=3.5), 1e-300,
+     "int_0^rho a underflows to 0 (rho = 1e-300)"),
     # q = 1e6 + 1: phi_q(int_0^s a) <= 0.125^q underflows although a does not vanish
-    (_problem(a="t", p=1.0 + 1e-6), "phi_q(int_0^s a) underflows"),
+    (_problem(a="t", p=1.0 + 1e-6), 0.5, "phi_q(int_0^s a) underflows"),
     # gamma is about 2e-32 and the integral about 1e-281: each is invertible,
     # their product is not
-    (_problem(a="1e-140", alpha=2.0 + 2.0**-51, eta=1.0 - 2.0**-53),
+    (_problem(a="1e-140", alpha=2.0 + 2.0**-51, eta=1.0 - 2.0**-53), 0.5,
      "the cone constant gamma = "),
-], ids=["a_vanishes", "phi_q_underflows", "gamma_too_small"])
-def test_lambda2_diagnostic_names_its_cause(pb, cause):
+], ids=["a_vanishes", "a_vanishes_below_rho", "a_integral_underflows",
+        "a_underflows", "phi_q_underflows", "gamma_too_small"])
+def test_lambda2_diagnostic_names_its_cause(pb, rho, cause):
     with pytest.raises(ValueError) as exc:
-        lambda2(pb, 0.5)
+        lambda2(pb, rho)
     assert cause in str(exc.value)
     assert str(exc.value).endswith("so Lambda_2 is undefined")
 
@@ -409,12 +420,18 @@ def test_box_extrema_equal_stepwise_search_on_a_degenerate_t_range():
     _assert_stepwise_extrema(fn, (0.5, 0.5), (0.5, 0.5))
 
 
-def _scan_batch_nonlinearities():
-    """f of the benchmark's scan batch of seed 0 (bench/oracle.py)."""
+def _bench_oracle():
+    """bench/oracle.py: the benchmark's manufactured problems."""
     path = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
     spec = importlib.util.spec_from_file_location("bench_oracle", path)
     oracle = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(oracle)
+    return oracle
+
+
+def _scan_batch_nonlinearities():
+    """f of the benchmark's scan batch of seed 0."""
+    oracle = _bench_oracle()
     return [inst.problem(128).f for inst in oracle.scan_batch(np.random.default_rng(0))]
 
 
@@ -734,3 +751,99 @@ def test_contraction_large_p_regime_rejections():
         check_contraction_large_p(pb, mu=0.5, sigma=1.0, k=0.0)
     _assert_rejects_nonpositive(lambda v: check_contraction_large_p(pb, v, 1.0, 0.1), "mu")
     _assert_rejects_nonpositive(lambda v: check_contraction_large_p(pb, 0.5, 1.0, v), "k")
+
+
+# --- what a problem keeps --------------------------------------------------
+
+_K_ENV = parse("exp(-t)", variables=("t",))
+
+
+def _check_sequence(inst):
+    """Lambda_1, Lambda_2 and the checks of one benchmark instance, in an
+    order in which later calls find what earlier ones kept."""
+    top = float(inst.exact(0.0))
+    if inst.p > 2.0:
+        contraction = partial(check_contraction_large_p, mu=0.1,
+                              sigma=0.5 / (2.0 - inst.q), k=0.1)
+    else:
+        contraction = partial(check_contraction_small_p, k_env=_K_ENV, L=1.0)
+    return [
+        lambda1,
+        partial(lambda2, rho=0.5),
+        partial(check_leray_schauder, nu=2.0 * top),
+        partial(check_krasnoselskii, rho=0.5, rho1=0.1 * top, rho2=2.0 * top),
+        partial(check_krasnoselskii, rho=0.5, rho1=0.1 * top, rho2=2.0 * top,
+                theorem="3.2"),
+        partial(check_leray_schauder, nu=0.1 * top),
+        contraction,
+        partial(lambda2, rho=0.3),
+        lambda1,
+    ]
+
+
+@pytest.mark.parametrize("panels", [64, 128])
+def test_kept_values_change_no_report(panels):
+    oracle = _bench_oracle()
+    instances = list(oracle.REFINE) + oracle.scan_batch(np.random.default_rng(0))
+    for inst in instances:
+        base = inst.problem(panels)
+        shared = replace(base)
+        for call in _check_sequence(inst):
+            assert repr(call(shared)) == repr(call(replace(base)))
+
+
+def _counting(monkeypatch, name) -> list:
+    """The arguments of every call of theorems.<name>, which still runs."""
+    calls = []
+    fn = getattr(theorems, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(theorems, name, counting)
+    return calls
+
+
+def test_shared_values_are_computed_once(monkeypatch):
+    pb = replace(CASES["ex43"].problem)
+    boxes = _counting(monkeypatch, "box_maximum")
+    rules = _counting(monkeypatch, "graded_edges")
+    integrals = _counting(monkeypatch, "integrate")
+    check_leray_schauder(pb, 1.0)
+    check_krasnoselskii(pb, 0.5, 1.0 / 120.0, 1.0)
+    # 3.3's box [0,1]x[0,nu] is 3.1's upper box for nu = rho2; the other is
+    # 3.1's lower box
+    assert [box[1:] for box in boxes].count(((0.0, 1.0), (0.0, 1.0))) == 1
+    assert len(boxes) == 2
+    lambda2(pb, 0.5)
+    lambda2(pb, 0.5)
+    assert len(rules) == 1
+    lambda1(pb)
+    check_contraction_large_p(pb, 0.005, 1.5, 0.01)
+    assert len(integrals) == 1  # int_0^1 a
+
+
+def test_failed_computations_are_not_kept(monkeypatch):
+    # f is defined on the load lattice, u <= 100, but not beyond u = 150
+    pb = _problem(f="sqrt(150 - u)", p=3.5)
+    boxes = _counting(monkeypatch, "box_maximum")
+    rules = _counting(monkeypatch, "graded_edges")
+    for call, error in [
+            (partial(check_leray_schauder, pb, 200.0), ExprEvalError),
+            (partial(check_krasnoselskii, pb, 0.5, 0.1, 200.0), ExprEvalError),
+            (partial(lambda2, pb, 1.5), ValueError),
+            (partial(check_krasnoselskii, pb, 1.5, 0.1, 1.0), ValueError),
+            (partial(lambda2, _problem(a="0", p=3.5), 0.5), ValueError)]:
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error) as exc:
+                call()
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+    # each box and each Lambda_2 rule is sampled again after it raised; a
+    # bad rho raises before the rule, and pb's Lambda_2(0.5) is kept
+    assert [box[1:] for box in boxes].count(((0.0, 1.0), (0.0, 200.0))) == 4
+    assert len(rules) == 1 + 2
+    assert set(pb.__dict__.get("_kept", {})) <= {"a_integral", ("lambda2", 0.5)}
+    assert check_leray_schauder(pb, 100.0).quantities["f_max"] == math.sqrt(150.0)
