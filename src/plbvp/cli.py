@@ -21,13 +21,7 @@ import numpy as np
 
 from . import exprlang
 from .cases import CASES
-from .exprlang import ExprError
-from .problemfile import (
-    ProblemConfig,
-    ProblemFileError,
-    dump_problem,
-    load_problem,
-)
+from .problemfile import ProblemConfig, dump_problem, load_problem
 from .quadrature import GridFunction, Partition, QuadratureError
 from .solver import SolverError, SolverSettings, picard_solve
 from .specialfn import gamma
@@ -143,7 +137,9 @@ def _cmd_solve(args) -> int:
     return EXIT_OK if report.converged else EXIT_FAIL
 
 
-# The flags of check that _run_check takes, under the same names.
+# The flags of check that _run_check takes, under the same names.  The parser
+# declares the theorems' flags from it, in this order, and reproduce passes a
+# case's values through it.
 _CHECK_FLAGS = ("theorem", "rho1", "rho2", "M1", "M2", "nu", "L", "k_env", "mu", "sigma", "k")
 
 
@@ -215,8 +211,8 @@ def _cmd_reproduce(args) -> int:
     config = ProblemConfig(problem=case.problem, rho=case.rho)
     lines = [("command", "reproduce"), ("case", case.case_id)]
     lines += _problem_lines(config)
-    report = _run_check(config, theorem=case.check, nu=case.nu, k_env=case.k_env,
-                        L=case.L, rho1=case.rho1, rho2=case.rho2)
+    report = _run_check(config, theorem=case.check,
+                        **{name: getattr(case, name, None) for name in _CHECK_FLAGS[1:]})
     if case.check == "3.1":
         # closed form of Lambda_1 for this coefficient: 15 sqrt(pi) / 28
         lines.append(("lambda1_reference", 15.0 * gamma(0.5) / 28.0))
@@ -260,16 +256,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--out")
     p_check.add_argument("--panels", type=int)
     p_check.add_argument("--rho", type=float, help="cone parameter override")
-    p_check.add_argument("--rho1", type=float)
-    p_check.add_argument("--rho2", type=float)
-    p_check.add_argument("--M1", type=float)
-    p_check.add_argument("--M2", type=float)
-    p_check.add_argument("--nu", type=float)
-    p_check.add_argument("--L", type=float)
-    p_check.add_argument("--k-env", dest="k_env")
-    p_check.add_argument("--mu", type=float)
-    p_check.add_argument("--sigma", type=float)
-    p_check.add_argument("--k", type=float)
+    for name in _CHECK_FLAGS[1:]:  # the theorems' own flags: --k-env is text
+        p_check.add_argument("--" + name.replace("_", "-"),
+                             type=None if name == "k_env" else float)
     p_check.set_defaults(func=_cmd_check)
 
     p_verify = sub.add_parser("verify", help="residual-check a saved CSV solution")
@@ -300,8 +289,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ProblemFileError, ExprError, QuadratureError, SolverError,
-            ValueError, OSError) as exc:
+    except (QuadratureError, SolverError, ValueError, OSError) as exc:
         print(f"plbvp: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

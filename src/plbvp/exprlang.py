@@ -377,8 +377,6 @@ def _power(node, base, expo):
 
     integral = bool(expo_value == np.round(expo_value))
     nonnegative = bool(expo_value >= 0.0)
-    if integral and nonnegative:
-        return lambda t, u: _pow(base(t, u), expo_value)
 
     def constant_power(t, u):
         b = base(t, u)

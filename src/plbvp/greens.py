@@ -51,7 +51,7 @@ def _clip_unit(name: str, x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if np.any(arr < -_EDGE_SLACK) or np.any(arr > 1.0 + _EDGE_SLACK):
         bad = arr[(arr < -_EDGE_SLACK) | (arr > 1.0 + _EDGE_SLACK)].flat[0]
-        raise ValueError(f"{name} outside [0, 1]: {bad!r}")
+        raise ValueError(f"{name} outside [0, 1]: {float(bad)!r}")
     return np.clip(arr, 0.0, 1.0)
 
 

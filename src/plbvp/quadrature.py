@@ -118,7 +118,7 @@ def _sample(f, x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(y)):
         bad = int(np.flatnonzero(~np.isfinite(np.atleast_1d(y)))[0])
         raise QuadratureError(
-            f"integrand returned a non-finite value at sample point {x.flat[bad]!r}"
+            f"integrand returned a non-finite value at sample point {float(x.flat[bad])!r}"
         )
     return y
 

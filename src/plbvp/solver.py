@@ -17,15 +17,15 @@ product-integration rule on the partition, which makes each application a
 matrix-vector product with the lower part of the weight matrix, stored in
 blocks of rows.
 
-A :class:`Problem` builds one operator plan per partition and shares it
-between the solve, every :func:`apply_operator` call and the verifier.  The
-plan keeps the constants of the operator on the partition: the rule, which
-also fixes the panel widths, their PCHIP weights and the PCHIP cell and
-offsets s, s^2, s^3 of each of its sample points, and a(t) at the nodes.
+The solve, every :func:`apply_operator` call and the verifier apply the
+operator through ``Problem._rows``.  It keeps, in the problem's store, the
+constants of the operator on the latest partition under "plan": the rule,
+which also fixes the panel widths, their PCHIP weights and the PCHIP cell
+and offsets s, s^2, s^3 of each of its sample points, and a(t) at the nodes.
 One application then evaluates f at the nodes, integrates the density panel
 by panel and evaluates the PCHIP of F at the sample points without a search,
-with values bit for bit those of ``cumulative`` and ``GridFunction``.  The
-plan also keeps its last application, the nodal values and their I^beta
+with values bit for bit those of ``cumulative`` and ``GridFunction``.  Under
+"last" it keeps the last application, the nodal values and their I^beta
 rows, and hands the rows out again for the same values: the verification of
 a solve's own solution applies the operator no more.
 """
@@ -40,7 +40,14 @@ from . import exprlang
 from .exprlang import Expr
 from .greens import KernelParams
 from .plaplacian import conjugate, phi
-from .quadrature import FixedPoints, GridFunction, Partition, jacobi_rule, panel_rule
+from .quadrature import (
+    FixedPoints,
+    GridFunction,
+    Partition,
+    QuadratureError,
+    jacobi_rule,
+    panel_rule,
+)
 
 __all__ = [
     "Discretization",
@@ -143,9 +150,9 @@ class Problem:
     samples neither again.
 
     A problem keeps what its computations share, as ``_kept``: the operator
-    plan (:meth:`_plan`) and the values of :meth:`_keep`.  ``_kept`` is not a
-    field: equality, hashing and repr ignore it, and pickling and copying
-    leave it out.
+    plan and last application of :meth:`_rows`, under "plan" and "last", and
+    the values of :meth:`_keep`.  ``_kept`` is not a field: equality, hashing
+    and repr ignore it, and pickling and copying leave it out.
     """
 
     alpha: float
@@ -194,20 +201,29 @@ class Problem:
     def partition(self) -> Partition:
         return self.discretization.partition()
 
-    def _plan(self, partition: Partition) -> "_Plan":
-        """The operator plan on partition (:class:`_Plan`).
-
-        It is built on first use and kept on the problem, keyed by the
-        partition (the same object, or equal nodes), so that the solve,
-        every operator application and the verification on one partition
-        share one plan; only the latest plan is kept.
-        """
+    def _rows(self, partition: Partition, values: np.ndarray) -> np.ndarray:
+        """I^beta phi_q(F) at every target of the operator's rule on
+        partition (read-only), with F = int_0^s a f(., u) for the nodal
+        values of u.  The plan is rebuilt unless partition is the kept one
+        (the same object, or equal nodes)."""
         kept = self.__dict__.setdefault("_kept", {})
         plan = kept.get("plan")
-        if plan is None or not (plan.partition is partition or np.array_equal(
-                plan.partition.nodes, partition.nodes)):
-            plan = kept["plan"] = _Plan(self, partition)
-        return plan
+        if plan is None or not (plan[0] is partition or np.array_equal(
+                plan[0].nodes, partition.nodes)):
+            rule = KernelAssembly(self.kernel_params, partition,
+                                  self.discretization.points_per_panel)
+            plan = kept["plan"] = (partition, rule,
+                                   exprlang.evaluate(self.a, t=partition.nodes))
+            kept.pop("last", None)  # its rows are those of another partition
+        _, rule, a_nodes = plan
+        last, rows = kept.get("last", (None, None))
+        if last is not None and last.tobytes() == values.tobytes():
+            return rows
+        density = _density(self.f, a_nodes, partition.nodes, values)
+        rows = rule._integrals(rule.integrand(self.q, density))
+        rows.setflags(write=False)
+        kept["last"] = (np.array(values), rows)
+        return rows
 
     def _keep(self, key, compute):
         """The value kept under key, or else compute(), kept under key.
@@ -372,8 +388,13 @@ class KernelAssembly:
         """phi_q(F) at the sample points, where F(s) = int_0^s of the PCHIP
         of the nodal values h: ``apply_to(lambda s: phi(q, F(s)))`` with
         ``F = cumulative(h)``, bit for bit, from the cells and offsets of the
-        points fixed at construction."""
-        return phi(q, self._at_points.running_integral(h))
+        points fixed at construction.  An F that overflows, though h is
+        finite, raises :class:`QuadratureError`."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            F = self._at_points.running_integral(h)
+        if not np.isfinite(F).all():
+            raise QuadratureError("the running integral int_0^s a f(tau, u) dtau overflows")
+        return phi(q, F)
 
     def _integrals(self, g) -> np.ndarray:
         """I^beta g at every target: t_1..t_N (beta = alpha), then 1 and eta
@@ -408,40 +429,6 @@ def _kernel_values(rows: np.ndarray) -> np.ndarray:
     return c0 - _at_nodes(rows)
 
 
-class _Plan:
-    """Everything about a problem's operator on one partition that does not
-    depend on the iterate, and its last application.
-
-    The plan keeps the rule (:class:`KernelAssembly`, with the panel widths,
-    their PCHIP weights and the PCHIP cell and offsets s, s^2, s^3 of each of
-    its sample points) and a(t) at the nodes.  :meth:`rows` remembers the
-    nodal values it was last given and their I^beta rows, and returns those
-    rows again for equal values (bit for bit), so that the verification of a
-    solve's own solution does not apply the operator once more.
-    """
-
-    def __init__(self, pb: Problem, partition: Partition):
-        self.partition = partition
-        self.rule = KernelAssembly(pb.kernel_params, partition,
-                                   pb.discretization.points_per_panel)
-        self.a_nodes = exprlang.evaluate(pb.a, t=partition.nodes)
-        self._f = pb.f
-        self._q = pb.q
-        self._last = (None, None)
-
-    def rows(self, values: np.ndarray) -> np.ndarray:
-        """I^beta phi_q(F) at every target of the rule (read-only), with
-        F = int_0^s a f(., u) for the nodal values of u."""
-        last, rows = self._last
-        if last is not None and last.tobytes() == values.tobytes():
-            return rows
-        density = _density(self._f, self.a_nodes, self.partition.nodes, values)
-        rows = self.rule._integrals(self.rule.integrand(self._q, density))
-        rows.setflags(write=False)
-        self._last = (np.array(values), rows)
-        return rows
-
-
 def kernel_route(kp: KernelParams, q: float, h: GridFunction,
                  points: int = 4) -> GridFunction:
     """Solution of the BVP with source density h via the kernel representation.
@@ -459,7 +446,7 @@ def apply_operator(pb: Problem, u: GridFunction) -> GridFunction:
         raise SolverError(
             f"iterate is negative (min {float(np.min(u.values))}); "
             "the operator is only defined on the nonnegative cone")
-    return u.with_values(_kernel_values(pb._plan(u.partition).rows(u.values)))
+    return u.with_values(_kernel_values(pb._rows(u.partition, u.values)))
 
 
 def picard_solve(pb: Problem, u0: GridFunction | None = None,
@@ -478,8 +465,9 @@ def picard_solve(pb: Problem, u0: GridFunction | None = None,
     Picard step x + beta (A x - x).  Convergence requires both the
     successive sup-norm gap and the residual sup|u - A u| to fall below tol.
     Non-convergence within max_iter returns a report with converged = False
-    rather than raising.  So does an A x that is not finite, or an f that
-    overflows at the iterate (the iterate grew without bound): the solve
+    rather than raising.  So does an A x that is not finite, or an f, or a
+    running integral int_0^s a f, that overflows at the iterate (the iterate
+    grew without bound, or f is too large for its integral): the solve
     stops at that iteration with residual = inf and keeps the last iterate
     whose image was finite.
     """
@@ -489,13 +477,12 @@ def picard_solve(pb: Problem, u0: GridFunction | None = None,
     if float(np.min(u0.values)) < -SAMPLING_SLACK:
         raise SolverError("u0 must be nonnegative")
 
-    plan = pb._plan(u0.partition)
-
     def residual_at(v):
-        """(A v - v, its sup norm), or (None, inf) where f overflows at v."""
+        """(A v - v, its sup norm), or (None, inf) where f or its running
+        integral overflows at v."""
         try:
-            r = _kernel_values(plan.rows(v)) - v
-        except exprlang.ExprOverflowError:
+            r = _kernel_values(pb._rows(u0.partition, v)) - v
+        except (exprlang.ExprOverflowError, QuadratureError):
             return None, math.inf
         return r, float(np.max(np.abs(r)))
 

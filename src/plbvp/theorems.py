@@ -39,7 +39,7 @@ from . import exprlang
 from .exprlang import Expr
 from .greens import cone_gamma, envelope_integral, phi_envelope
 from .plaplacian import phi
-from .quadrature import graded_edges, integrate, panel_rule
+from .quadrature import QuadratureError, graded_edges, integrate, panel_rule
 from .solver import LATTICE, SAMPLING_SLACK, WIDE_U_MAX, Problem
 from .specialfn import beta, gamma
 
@@ -419,9 +419,15 @@ def check_contraction_small_p(pb: Problem, k_env: Expr, L: float) -> TheoremRepo
         (0.0, 1.0), (0.0, WIDE_U_MAX)), 0.0, upper=True)[0])
 
     ia = _a_integral(pb)
-    m_value = integrate(
-        lambda s: exprlang.evaluate(pb.a, t=s) * exprlang.evaluate(k_env, t=s),
-        0.0, 1.0, panels=d.panels, points=d.points_per_panel)
+
+    def ak(s):
+        with np.errstate(over="ignore"):  # a and k are finite: inf is an overflow
+            return exprlang.evaluate(pb.a, t=s) * exprlang.evaluate(k_env, t=s)
+
+    try:
+        m_value = integrate(ak, 0.0, 1.0, panels=d.panels, points=d.points_per_panel)
+    except QuadratureError:  # a k overflows, so M is taken as inf: the bound is 0
+        m_value = math.inf
     bound = math.inf
     if m_value > 0.0 and ia > 0.0:
         try:

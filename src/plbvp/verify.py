@@ -94,7 +94,7 @@ def integral_form_residual(pb: Problem, u: GridFunction) -> float:
     """Sup-norm of r(t) = u(t) - u(0) + I^alpha[phi_q(F)](t) over the nodes."""
     if float(np.min(u.values)) < -SAMPLING_SLACK:
         raise ValueError("u must be nonnegative")
-    ialpha = _at_nodes(pb._plan(u.partition).rows(u.values))
+    ialpha = _at_nodes(pb._rows(u.partition, u.values))
     r = u.values - u.values[0] + ialpha
     return float(np.max(np.abs(r)))
 

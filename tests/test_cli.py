@@ -321,6 +321,40 @@ def test_exponential_solve_that_overflows_f_is_a_nonconvergence(tmp_path, capsys
     assert report["verdict"] == "not_converged"
 
 
+@pytest.mark.parametrize("p", ["1.5", "3"])
+def test_solve_whose_running_integral_overflows_is_a_nonconvergence(tmp_path, capsys, p):
+    # f = 1e308 is finite, but int_0^s a f is not: the solve reports, and
+    # verify of its solution names the running integral
+    path = tmp_path / "big.problem"
+    path.write_text(f'[problem]\nalpha = 2.5\neta = 0.5\np = {p}\na = "1"\n'
+                    'f = "1e308"\n', encoding="utf-8")
+    csv = str(tmp_path / "u.csv")
+    code, out, err = _run(capsys, "solve", str(path), "--out", csv)
+    assert code == 1 and err == ""
+    report = _report(out)
+    assert report["residual"] == "inf"
+    assert report["verdict"] == "not_converged"
+    code, out, err = _run(capsys, "verify", str(path), "--solution", csv)
+    assert code == 2 and out == ""
+    assert err == "plbvp: error: the running integral int_0^s a f(tau, u) dtau overflows\n"
+
+
+def test_contraction_small_p_with_overflowing_ak_integral_is_a_report(tmp_path, capsys):
+    # a k = 1e310 overflows, so M = inf, M^(2-q) = 0 (q = 3) and the bound
+    # on L is 0
+    path = tmp_path / "bigA.problem"
+    path.write_text('[problem]\nalpha = 2.5\neta = 0.5\np = 1.5\na = "1e300"\n'
+                    'f = "1"\n', encoding="utf-8")
+    code, out, err = _run(capsys, "check", "--theorem", "3.5", "--k-env", "1e10",
+                          "--L", "1", str(path))
+    assert code == 1 and err == ""
+    report = _report(out)
+    assert (report["ak_integral"], report["l_bound"], report["contraction_l1"]) == (
+        "inf", "0", "inf")
+    assert report["check.3.holds"] == "false"
+    assert report["verdict"] == "hypotheses_fail"
+
+
 def test_leray_schauder_near_p_one_is_a_number(tmp_path, capsys):
     # q = 1e6 + 1: phi_q(L) = 2^q overflows and phi_q(int a) = 0.5^q
     # underflows, so the bound is phi_q(L int a) = phi_q(1) = 1 times int Phi

@@ -150,6 +150,9 @@ def test_out_of_range_arguments_rejected():
         g_kernel(KP, -0.01, 0.5)
     with pytest.raises(ValueError):
         h_kernel(KP, 0.5, 1.01)
+    # the offending value is printed as a plain float, not as numpy's scalar repr
+    with pytest.raises(ValueError, match=r"^t outside \[0, 1\]: 1\.5$"):
+        g_kernel(KP, np.array([0.5, 1.5]), 0.5)
     # a few ulps outside [0, 1] is grid noise, not an error
     assert g_kernel(KP, 1.0 + 5e-15, 0.5) >= 0.0
 

@@ -61,6 +61,9 @@ def test_nonfinite_integrand_diagnostic():
     with pytest.raises(QuadratureError) as err:
         integrate(f, 0.0, 1.0)
     assert "sample point" in str(err.value)
+    # the point is printed as a plain float, not as numpy's scalar repr
+    point = str(err.value).rpartition("sample point ")[2]
+    assert float(point) > 0.5 and repr(float(point)) == point
 
 
 def test_graded_edges_shapes():

@@ -18,6 +18,7 @@ from plbvp.plaplacian import phi
 from plbvp.quadrature import (
     GridFunction,
     Partition,
+    QuadratureError,
     cumulative,
     integrate,
     jacobi_rule,
@@ -288,6 +289,17 @@ def test_problem_builds_one_assembly_per_partition(monkeypatch):
     six = replace(pb, discretization=replace(pb.discretization, points_per_panel=6))
     apply_operator(six, report.solution)
     assert len(built) == 3 and built[-1][2] == 6
+
+
+def test_last_application_is_not_reused_on_another_partition():
+    # the same nodal values on another partition with as many nodes: the
+    # application is that of the new partition, as on a fresh problem
+    pb = _problem(f="(1 + u)/2", panels=64)
+    other = Partition.graded(64, 1.5)
+    values = np.linspace(0.3, 0.1, 65)
+    apply_operator(pb, GridFunction(pb.partition(), values))
+    got = apply_operator(pb, GridFunction(other, values)).values
+    assert np.array_equal(got, apply_operator(replace(pb), GridFunction(other, values)).values)
 
 
 def test_kept_assembly_is_invisible():
@@ -654,6 +666,22 @@ def test_iterate_that_overflows_f_stops_the_solve():
     with pytest.raises(ExprOverflowError):
         apply_operator(pb, GridFunction.constant(pb.partition(), 1000.0))
     assert issubclass(ExprOverflowError, ExprEvalError)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_running_integral_that_overflows_stops_the_solve(p):
+    # f = 1e308 is finite, but int_0^s a f overflows: the solve stops at once,
+    # as where f overflows, and an application or a verification names the
+    # running integral, with no numpy warning
+    pb = _problem(a="1", f="1e308", p=p)
+    report = picard_solve(pb)
+    assert not report.converged
+    assert report.residual == math.inf and report.iterations == 0
+    assert np.array_equal(report.solution.values, np.zeros(pb.partition().nodes.size))
+    for check in (apply_operator, integral_form_residual,
+                  lambda pb, u: verification_report(pb, u, 0.5)):
+        with pytest.raises(QuadratureError, match="running integral .* overflows"):
+            check(pb, report.solution)
 
 
 def test_doubled_resolution_agreement():

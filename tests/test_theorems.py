@@ -637,6 +637,17 @@ def test_contraction_l1_of_a_bound_that_underflows_is_infinite():
     assert not rep.holds
 
 
+def test_contraction_small_p_whose_ak_integral_overflows_fails():
+    # a k = 1e310 overflows though a and k are finite: M = int a k is inf, so
+    # M^(2-q) = 0 (q = 3), the bound on L is 0 and L1 is infinite
+    pb = _problem(a="1e300", f="1", p=1.5)
+    rep = check_contraction_small_p(pb, parse("1e10", variables=("t",)), 1.0)
+    assert rep.quantities["ak_integral"] == math.inf
+    assert rep.quantities["l_bound"] == 0.0
+    assert rep.quantities["contraction_l1"] == math.inf
+    assert not rep.holds and _first_failure(rep).name == "L < bound"
+
+
 def test_contraction_small_p_large_l_fails():
     case = CASES["ex42"]
     rep = check_contraction_small_p(case.problem,
