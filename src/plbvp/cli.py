@@ -138,8 +138,8 @@ def _cmd_solve(args) -> int:
 
 
 # The flags of check that _run_check takes, under the same names.  The parser
-# declares the theorems' flags from it, in this order, and reproduce passes a
-# case's values through it.
+# declares the theorems' flags from it, in this order; a bundled case's flags
+# are keyword arguments of _run_check by these names.
 _CHECK_FLAGS = ("theorem", "rho1", "rho2", "M1", "M2", "nu", "L", "k_env", "mu", "sigma", "k")
 
 
@@ -208,12 +208,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     case = CASES[args.case]
-    config = ProblemConfig(problem=case.problem, rho=case.rho)
-    lines = [("command", "reproduce"), ("case", case.case_id)]
-    lines += _problem_lines(config)
-    report = _run_check(config, theorem=case.check,
-                        **{name: getattr(case, name, None) for name in _CHECK_FLAGS[1:]})
-    if case.check == "3.1":
+    report = _run_check(case, **case.flags)
+    lines = [("command", "reproduce"), ("case", args.case)]
+    lines += _problem_lines(case)
+    if case.flags["theorem"] == "3.1":
         # closed form of Lambda_1 for this coefficient: 15 sqrt(pi) / 28
         lines.append(("lambda1_reference", 15.0 * gamma(0.5) / 28.0))
         lines.append(("m1_pow", report.quantities["phi_p_M1_rho2"]))
@@ -223,12 +221,7 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_dump(args) -> int:
-    if args.source in CASES:
-        case = CASES[args.source]
-        config = ProblemConfig(problem=case.problem, rho=case.rho)
-    else:
-        config = load_problem(args.source)
-    _write(dump_problem(config), args.out)
+    _write(dump_problem(CASES.get(args.source) or load_problem(args.source)), args.out)
     return EXIT_OK
 
 

@@ -388,13 +388,19 @@ class KernelAssembly:
         """phi_q(F) at the sample points, where F(s) = int_0^s of the PCHIP
         of the nodal values h: ``apply_to(lambda s: phi(q, F(s)))`` with
         ``F = cumulative(h)``, bit for bit, from the cells and offsets of the
-        points fixed at construction.  An F that overflows, though h is
-        finite, raises :class:`QuadratureError`."""
+        points fixed at construction.  An F or a phi_q(F) that overflows,
+        though h is finite, raises :class:`QuadratureError`."""
         with np.errstate(over="ignore", invalid="ignore"):
             F = self._at_points.running_integral(h)
-        if not np.isfinite(F).all():
-            raise QuadratureError("the running integral int_0^s a f(tau, u) dtau overflows")
-        return phi(q, F)
+            try:
+                g = phi(q, F)
+            except ValueError:  # phi takes finite arguments only
+                raise QuadratureError(
+                    "the running integral int_0^s a f(tau, u) dtau overflows") from None
+        if not np.isfinite(g).all():
+            raise QuadratureError(
+                "phi_q of the running integral int_0^s a f(tau, u) dtau overflows")
+        return g
 
     def _integrals(self, g) -> np.ndarray:
         """I^beta g at every target: t_1..t_N (beta = alpha), then 1 and eta

@@ -5,8 +5,9 @@ Each checker computes every quantity entering the hypotheses of one theorem
 two contraction regimes) on a concrete problem, samples the required
 inequalities on f, and returns an auditable :class:`TheoremReport` with a
 hypotheses_hold / hypotheses_fail verdict.  int_0^1 Phi is taken in closed
-form from :func:`plbvp.greens.envelope_integral`, and every inequality on f
-over a box is decided by :func:`_sampled` from a sampled extremum.
+form from :func:`plbvp.greens.envelope_integral`, and every sampled
+inequality, 3.5's k >= 0 included, is decided by :func:`_sampled` from a
+sampled extremum.
 
 A problem keeps what the checks share (see ``Problem._keep``): int_0^1 a,
 used by Lambda_1, 3.3, 3.4 and 3.5; Lambda_2 for each rho, used by 3.1 and
@@ -411,9 +412,8 @@ def check_contraction_small_p(pb: Problem, k_env: Expr, L: float) -> TheoremRepo
 
     ts = np.linspace(0.0, 1.0, LATTICE)
     kv = exprlang.evaluate(k_env, t=ts)
-    k_min = float(np.min(kv))
-    checks = [InequalityCheck("k >= 0 on [0,1]", k_min >= -SAMPLING_SLACK, 0.0, k_min,
-                              witness=(float(ts[int(np.argmin(kv))]), None))]
+    k_min = (float(np.min(kv)), (float(ts[int(np.argmin(kv))]), None))  # (value, witness)
+    checks = [_sampled("k >= 0 on [0,1]", k_min, 0.0, upper=False)[0]]
     checks.append(_sampled("f <= k on [0,1]x[0,u_max]", box_maximum(
         lambda t, u: exprlang.evaluate(pb.f, t=t, u=u) - exprlang.evaluate(k_env, t=t),
         (0.0, 1.0), (0.0, WIDE_U_MAX)), 0.0, upper=True)[0])

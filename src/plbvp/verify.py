@@ -130,21 +130,28 @@ def boundary_residuals(pb: Problem, u: GridFunction) -> tuple:
 
 
 def verification_report(pb: Problem, u: GridFunction, rho: float) -> VerificationReport:
+    """Raises ValueError where u's values are so large that a boundary
+    stencil or u's interpolant overflows."""
     residual = integral_form_residual(pb, u)
-    bc = boundary_residuals(pb, u)
-    gam = cone_gamma(pb.kernel_params, rho)
+    nodes = u.partition.nodes
     # a minimum or maximum depends neither on the order of its points nor on
     # repeated points, and each value on its own point alone
-    nodes = u.partition.nodes
     whole = np.concatenate([np.linspace(0.0, 1.0, _DENSE_SAMPLES + 1), nodes])
-    values = u(np.concatenate([whole, np.linspace(0.0, rho, _DENSE_SAMPLES + 1),
-                               nodes[nodes <= rho]]))
-    dense, head = values[:whole.size], values[whole.size:]
-    sup = float(np.max(np.abs(dense)))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        bc = boundary_residuals(pb, u)
+        gam = cone_gamma(pb.kernel_params, rho)
+        values = u(np.concatenate([whole, np.linspace(0.0, rho, _DENSE_SAMPLES + 1),
+                                   nodes[nodes <= rho]]))
+        dense, head = values[:whole.size], values[whole.size:]
+        sup = float(np.max(np.abs(dense)))
+        slack = float(np.min(head) - gam * sup)
+    if not np.isfinite([*bc, sup, slack]).all():
+        raise ValueError("the boundary stencils or the interpolant of u overflow: "
+                         f"|u| reaches {float(np.max(np.abs(u.values)))!r}")
     return VerificationReport(
         integral_form_residual=residual,
         bc_residuals=bc,
         positivity_min=float(np.min(dense)),
-        cone_slack=float(np.min(head) - gam * sup),
+        cone_slack=slack,
         sup_norm=sup,
     )

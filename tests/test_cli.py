@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import plbvp
+from plbvp.cases import CASES
 from plbvp.cli import entry, main
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -158,6 +159,27 @@ def test_dump_matches_bundled_problem_file(capsys, case):
     code, out, _ = _run(capsys, "dump", case)
     assert code == 0
     assert out == (PROBLEMS / f"{case}.problem").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", ["ex41", "ex42", "ex43"])
+def test_reproduce_is_check_of_the_dumped_case(tmp_path, capsys, case):
+    # reproduce prints what check, run with the case's flags on the file
+    # dump writes, prints, but for its header and ex43's two reference lines
+    path = tmp_path / f"{case}.problem"
+    assert _run(capsys, "dump", case, "--out", str(path))[0] == 0
+    argv = []
+    for name, value in CASES[case].flags.items():
+        argv += ["--" + name.replace("_", "-"), value if isinstance(value, str) else repr(value)]
+    code, out, err = _run(capsys, "check", *argv, str(path))
+    rep_code, rep_out, rep_err = _run(capsys, "reproduce", case)
+    header = {"command", "case", "problem", "lambda1_reference", "m1_pow"}
+
+    def body(text):
+        return [line for line in text.splitlines() if line.partition(" = ")[0] not in header]
+
+    assert (rep_code, rep_err) == (code, err)
+    assert body(rep_out) == body(out)
+    assert len(rep_out.splitlines()) - len(body(rep_out)) == (4 if case == "ex43" else 2)
 
 
 def test_missing_file_exits_two(capsys):
@@ -337,6 +359,36 @@ def test_solve_whose_running_integral_overflows_is_a_nonconvergence(tmp_path, ca
     code, out, err = _run(capsys, "verify", str(path), "--solution", csv)
     assert code == 2 and out == ""
     assert err == "plbvp: error: the running integral int_0^s a f(tau, u) dtau overflows\n"
+
+
+def test_verify_names_an_overflowing_phi_q(tmp_path, capsys):
+    # int_0^s a f = 1e200 s is finite, but phi_q of it (q = 3) is not: the
+    # solve reports, and verify names phi_q without a warning
+    path = tmp_path / "big.problem"
+    path.write_text('[problem]\nalpha = 2.5\neta = 0.5\np = 1.5\na = "1"\n'
+                    'f = "1e200"\n', encoding="utf-8")
+    csv = str(tmp_path / "u.csv")
+    code, out, err = _run(capsys, "solve", str(path), "--out", csv)
+    assert code == 1 and err == ""
+    assert _report(out)["residual"] == "inf"
+    code, out, err = _run(capsys, "verify", str(path), "--solution", csv)
+    assert code == 2 and out == ""
+    assert err == ("plbvp: error: phi_q of the running integral "
+                   "int_0^s a f(tau, u) dtau overflows\n")
+
+
+def test_verify_of_values_near_the_float_limit_exits_two(tmp_path, capsys):
+    path = tmp_path / "flat.problem"
+    path.write_text('[problem]\nalpha = 2.5\neta = 0.5\np = 1.5\na = "1"\nf = "1"\n'
+                    '[discretization]\npanels = 32\n', encoding="utf-8")
+    nodes = plbvp.Partition.graded(32, 2.0).nodes
+    csv = tmp_path / "u.csv"
+    csv.write_text("t,u\n" + "".join(f"{t:.17g},{1.7e308 if i % 2 == 0 else 0.0!r}\n"
+                                     for i, t in enumerate(nodes)), encoding="utf-8")
+    code, out, err = _run(capsys, "verify", str(path), "--solution", str(csv))
+    assert code == 2 and out == ""
+    assert err == ("plbvp: error: the boundary stencils or the interpolant of u "
+                   "overflow: |u| reaches 1.7e+308\n")
 
 
 def test_contraction_small_p_with_overflowing_ak_integral_is_a_report(tmp_path, capsys):

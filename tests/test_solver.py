@@ -561,7 +561,7 @@ def test_picard_ex43_nontrivial_solution():
     report = picard_solve(case.problem, tol=1e-10)
     assert report.converged
     norm = report.solution.sup_norm()
-    assert case.rho1 < norm < case.rho2
+    assert case.flags["rho1"] < norm < case.flags["rho2"]
     assert np.min(report.solution.values) > 0.0
     assert len(report.successive_diffs) == report.iterations
 

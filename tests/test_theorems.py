@@ -487,7 +487,7 @@ def test_report_reproducibility():
 
 def test_krasnoselskii_ex43_defaults():
     case = CASES["ex43"]
-    rep = check_krasnoselskii(case.problem, case.rho, case.rho1, case.rho2)
+    rep = check_krasnoselskii(case.problem, case.rho, case.flags["rho1"], case.flags["rho2"])
     assert rep.holds
     assert rep.inputs["M1"] == pytest.approx(rep.quantities["lambda1"])
     assert rep.inputs["M2"] == pytest.approx(rep.quantities["lambda2"])
@@ -503,7 +503,7 @@ def test_krasnoselskii_ex43_defaults():
 
 def test_krasnoselskii_report_layout():
     case = CASES["ex43"]
-    rep = check_krasnoselskii(case.problem, case.rho, case.rho1, case.rho2)
+    rep = check_krasnoselskii(case.problem, case.rho, case.flags["rho1"], case.flags["rho2"])
     assert [c.name for c in rep.checks] == [
         "0 < M1", "M1 <= Lambda1", "M2 >= Lambda2", "rho1 < rho2", "M2*rho1 < M1*rho2",
         "f <= phi_p(M1*rho2) on [0,1]x[0,rho2]",
@@ -544,11 +544,11 @@ def test_krasnoselskii_precondition_violation_reported():
 
 def test_krasnoselskii_m_bounds_checked():
     case = CASES["ex43"]
-    rep = check_krasnoselskii(case.problem, case.rho, case.rho1, case.rho2,
+    rep = check_krasnoselskii(case.problem, case.rho, case.flags["rho1"], case.flags["rho2"],
                               M1=10.0)  # above Lambda_1
     assert not rep.holds
     assert any(c.name == "M1 <= Lambda1" and not c.holds for c in rep.checks)
-    rep = check_krasnoselskii(case.problem, case.rho, case.rho1, case.rho2,
+    rep = check_krasnoselskii(case.problem, case.rho, case.flags["rho1"], case.flags["rho2"],
                               M2=0.5)  # below Lambda_2
     assert not rep.holds
 
@@ -588,7 +588,7 @@ def test_krasnoselskii_rejects_nonfinite_m(given):
     case = CASES["ex43"]
     (name, value), = given.items()
     with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
-        check_krasnoselskii(case.problem, case.rho, case.rho1, case.rho2, **given)
+        check_krasnoselskii(case.problem, case.rho, case.flags["rho1"], case.flags["rho2"], **given)
 
 
 @pytest.mark.parametrize("theorem, rho1, rho2, given, cap_key, upper", [

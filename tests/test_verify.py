@@ -6,8 +6,9 @@ from plbvp import problemfile
 from plbvp.cases import CASES
 from plbvp.exprlang import parse
 from plbvp.greens import KernelParams, cone_gamma
-from plbvp.quadrature import GridFunction, Partition
-from plbvp.solver import Discretization, KernelAssembly, Problem, kernel_route, picard_solve
+from plbvp.quadrature import GridFunction, Partition, QuadratureError
+from plbvp.solver import (Discretization, KernelAssembly, Problem, apply_operator, kernel_route,
+                          picard_solve)
 from plbvp.verify import (
     _DENSE_SAMPLES,
     VerificationReport,
@@ -149,7 +150,7 @@ def test_converged_ex43_certified():
     vr = verification_report(case.problem, report.solution, case.rho)
     assert vr.integral_form_residual <= 1e-5
     assert vr.cone_slack >= -1e-10
-    assert case.rho1 < vr.sup_norm < case.rho2
+    assert case.flags["rho1"] < vr.sup_norm < case.flags["rho2"]
     assert vr.positivity_min > 0.0
 
 
@@ -302,3 +303,26 @@ def test_integral_form_residual_sees_one_changed_value(manufactured):
         assert changed != base
         # and the solution itself is not confused with the changed values
         assert integral_form_residual(pb, u) == base
+
+
+def test_overflowing_phi_q_of_the_running_integral_is_named():
+    # F = int_0^s 1e200 is finite, but phi_q(F) = F^2 (q = 3) is not
+    pb = _problem(f="1e200", p=1.5)
+    zero = GridFunction.constant(pb.partition(), 0.0)
+    message = "phi_q of the running integral int_0"
+    with pytest.raises(QuadratureError, match=message):
+        apply_operator(pb, zero)
+    with pytest.raises(QuadratureError, match=message):
+        verification_report(pb, zero, 0.5)
+
+
+def test_values_whose_stencils_overflow_are_rejected():
+    # the integral form of these values is finite (1.7e308), but a boundary
+    # stencil or a slope of u's interpolant is not
+    part = Partition.graded(32, 2.0)
+    values = np.where(np.arange(part.nodes.size) % 2 == 0, 1.7e308, 0.0)
+    u = GridFunction(part, values)
+    pb = _problem(panels=32)
+    assert integral_form_residual(pb, u) == 1.7e308
+    with pytest.raises(ValueError, match=r"overflow: \|u\| reaches 1\.7e\+308$"):
+        verification_report(pb, u, 0.5)
