@@ -5,9 +5,8 @@ Each checker computes every quantity entering the hypotheses of one theorem
 two contraction regimes) on a concrete problem, samples the required
 inequalities on f, and returns an auditable :class:`TheoremReport` with a
 hypotheses_hold / hypotheses_fail verdict.  int_0^1 Phi is taken in closed
-form from :func:`plbvp.greens.envelope_integral`, and every sampled
-inequality, 3.5's k >= 0 included, is decided by :func:`_sampled` from a
-sampled extremum.
+form from :func:`plbvp.greens.envelope_integral`.  A checker lists its
+hypotheses as rows, and :func:`_decide` rules on every row by one table.
 
 A problem keeps what the checks share (see ``Problem._keep``): int_0^1 a,
 used by Lambda_1, 3.3, 3.4 and 3.5; Lambda_2 for each rho, used by 3.1 and
@@ -57,9 +56,6 @@ __all__ = [
     "check_contraction_large_p",
 ]
 
-HOLDS = "hypotheses_hold"
-FAILS = "hypotheses_fail"
-
 # The pattern search of box_maximum (see there).
 PATTERN = 9
 SHRINK = 4.0
@@ -70,7 +66,7 @@ SAMPLER = "lattice with pattern search"  # as named in the reports' notes
 
 @dataclass(frozen=True)
 class InequalityCheck:
-    """One verified inequality lhs <= rhs: name, sides and outcome."""
+    """One decided inequality: name, sides (lhs the one that must be smaller), outcome."""
 
     name: str
     holds: bool
@@ -95,7 +91,7 @@ class TheoremReport:
 
     @property
     def verdict(self) -> str:
-        return HOLDS if self.holds else FAILS
+        return "hypotheses_hold" if self.holds else "hypotheses_fail"
 
 
 def _a_integral(pb: Problem) -> float:
@@ -270,16 +266,18 @@ def _f_extremum(pb: Problem, t_range, u_range, upper: bool):
     return pb._keep(key, lambda: search(partial(exprlang.evaluate, pb.f), t_range, u_range))
 
 
-def _sampled(name: str, found, bound: float, upper: bool):
-    """(check, extremum) of fn <= bound (upper) or fn >= bound on a box, up
-    to SAMPLING_SLACK, from found: fn's sampled maximum or minimum there and
-    its witness."""
-    value, at = found
-    if upper:
-        return InequalityCheck(name, value <= bound + SAMPLING_SLACK, value, bound,
-                               witness=at), value
-    return InequalityCheck(name, value >= bound - SAMPLING_SLACK, bound, value,
-                           witness=at), value
+_SENSES = {
+    "<": lambda lhs, rhs: lhs < rhs,
+    "<=": lambda lhs, rhs: lhs <= rhs,
+    "max": lambda lhs, rhs: lhs <= rhs + SAMPLING_SLACK,  # lhs a sampled maximum
+    "min": lambda lhs, rhs: lhs - SAMPLING_SLACK <= rhs,  # rhs a sampled minimum
+}
+
+
+def _decide(rows) -> list:
+    """The checks of rows (name, lhs, sense, rhs[, witness]), in order."""
+    return [InequalityCheck(name, _SENSES[sense](lhs, rhs), lhs, rhs, *witness)
+            for name, lhs, sense, rhs, *witness in rows]
 
 
 def check_leray_schauder(pb: Problem, nu: float) -> TheoremReport:
@@ -297,7 +295,6 @@ def check_leray_schauder(pb: Problem, nu: float) -> TheoremReport:
             product = L * ia
             scale = phi(pb.q, product) if math.isfinite(product) else math.inf
     rhs = scale * iphi
-    checks = [InequalityCheck("nu > bound", nu > rhs, rhs, nu)]
     return TheoremReport(
         theorem="3.3",
         inputs={"nu": nu},
@@ -310,7 +307,7 @@ def check_leray_schauder(pb: Problem, nu: float) -> TheoremReport:
             "rhs": rhs,
             "margin": nu - rhs,
         },
-        checks=checks,
+        checks=_decide([("nu > bound", rhs, "<", nu)]),
         notes=(f"f sampled on a {LATTICE}x{LATTICE} {SAMPLER}",),
     )
 
@@ -346,46 +343,44 @@ def check_krasnoselskii(pb: Problem, rho: float, rho1: float, rho2: float,
     if M2 is None:
         M2 = lam2
 
-    checks = [
-        InequalityCheck("0 < M1", 0.0 < M1, 0.0, M1),
-        InequalityCheck("M1 <= Lambda1", M1 <= lam1, M1, lam1),
-        InequalityCheck("M2 >= Lambda2", M2 >= lam2, lam2, M2),
-        InequalityCheck("rho1 < rho2", rho1 < rho2, rho1, rho2),
-    ]
-    # 3.1 bounds f above on the rho2 box and below on the rho1 box; 3.2 does
-    # the reverse and lists the lower box first.
-    expansive = theorem == "3.1"
-    up, low = ("rho2", "rho1") if expansive else ("rho1", "rho2")
-    r_up, r_low = (rho2, rho1) if expansive else (rho1, rho2)
-    if not expansive:
-        checks.append(InequalityCheck("gamma*rho2 < rho1", gam * rho2 < rho1,
-                                      gam * rho2, rho1))
-    checks.append(InequalityCheck(
-        "M2*rho1 < M1*rho2" if expansive else "M1*rho1 > M2*rho2",
-        M2 * r_low < M1 * r_up, M2 * r_low, M1 * r_up))
-
-    boxes = [  # (upper, check name, cap key, phi_p argument, t range, u range)
-        (True, f"f <= phi_p(M1*{up}) on [0,1]x[0,{up}]", f"phi_p_M1_{up}",
-         M1 * r_up, (0.0, 1.0), (0.0, r_up)),
-        (False, f"f >= phi_p(M2*{low}) on [0,rho]x[g*{low},{low}]", f"phi_p_M2_{low}",
-         M2 * r_low, (0.0, rho), (gam * r_low, r_low)),
-    ]
-    quantities = {"lambda1": lam1, "lambda2": lam2, "gamma": gam}
-    for upper, name, cap_key, scaled, t_range, u_range in (
-            boxes if expansive else boxes[::-1]):
-        # a huge Lambda_2, or an M * rho that overflowed, makes the cap +-inf
+    def cap(scaled):  # phi_p(scaled); +-inf where M * rho overflowed or Lambda_2 is huge
         with np.errstate(over="ignore"):
-            cap = phi(pb.p, scaled) if math.isfinite(scaled) else scaled
-        check, extremum = _sampled(name, _f_extremum(pb, t_range, u_range, upper),
-                                   cap, upper)
-        checks.append(check)
-        quantities["f_max_upper_box" if upper else "f_min_lower_box"] = extremum
-        quantities[cap_key] = cap
+            return phi(pb.p, scaled) if math.isfinite(scaled) else scaled
+
+    rows = [
+        ("0 < M1", 0.0, "<", M1),
+        ("M1 <= Lambda1", M1, "<=", lam1),
+        ("M2 >= Lambda2", lam2, "<=", M2),
+        ("rho1 < rho2", rho1, "<", rho2),
+    ]
+    if theorem == "3.1":  # f bounded above on the rho2 box, below on the rho1 box
+        top, at_top = _f_extremum(pb, (0.0, 1.0), (0.0, rho2), upper=True)
+        low, at_low = _f_extremum(pb, (0.0, rho), (gam * rho1, rho1), upper=False)
+        cap_top, cap_low = cap(M1 * rho2), cap(M2 * rho1)
+        rows += [
+            ("M2*rho1 < M1*rho2", M2 * rho1, "<", M1 * rho2),
+            ("f <= phi_p(M1*rho2) on [0,1]x[0,rho2]", top, "max", cap_top, at_top),
+            ("f >= phi_p(M2*rho1) on [0,rho]x[g*rho1,rho1]", cap_low, "min", low, at_low),
+        ]
+        boxes = {"f_max_upper_box": top, "phi_p_M1_rho2": cap_top,
+                 "f_min_lower_box": low, "phi_p_M2_rho1": cap_low}
+    else:  # 3.2: f bounded below on the rho2 box, above on the rho1 box
+        low, at_low = _f_extremum(pb, (0.0, rho), (gam * rho2, rho2), upper=False)
+        top, at_top = _f_extremum(pb, (0.0, 1.0), (0.0, rho1), upper=True)
+        cap_low, cap_top = cap(M2 * rho2), cap(M1 * rho1)
+        rows += [
+            ("gamma*rho2 < rho1", gam * rho2, "<", rho1),
+            ("M1*rho1 > M2*rho2", M2 * rho2, "<", M1 * rho1),
+            ("f >= phi_p(M2*rho2) on [0,rho]x[g*rho2,rho2]", cap_low, "min", low, at_low),
+            ("f <= phi_p(M1*rho1) on [0,1]x[0,rho1]", top, "max", cap_top, at_top),
+        ]
+        boxes = {"f_min_lower_box": low, "phi_p_M2_rho2": cap_low,
+                 "f_max_upper_box": top, "phi_p_M1_rho1": cap_top}
     report = TheoremReport(
         theorem=theorem,
         inputs={"rho": rho, "rho1": rho1, "rho2": rho2, "M1": M1, "M2": M2},
-        quantities=quantities,
-        checks=checks,
+        quantities={"lambda1": lam1, "lambda2": lam2, "gamma": gam, **boxes},
+        checks=_decide(rows),
         notes=(f"f sampled on a {LATTICE}x{LATTICE} {SAMPLER}",),
     )
     if report.holds:
@@ -412,11 +407,12 @@ def check_contraction_small_p(pb: Problem, k_env: Expr, L: float) -> TheoremRepo
 
     ts = np.linspace(0.0, 1.0, LATTICE)
     kv = exprlang.evaluate(k_env, t=ts)
-    k_min = (float(np.min(kv)), (float(ts[int(np.argmin(kv))]), None))  # (value, witness)
-    checks = [_sampled("k >= 0 on [0,1]", k_min, 0.0, upper=False)[0]]
-    checks.append(_sampled("f <= k on [0,1]x[0,u_max]", box_maximum(
+    excess, at = box_maximum(
         lambda t, u: exprlang.evaluate(pb.f, t=t, u=u) - exprlang.evaluate(k_env, t=t),
-        (0.0, 1.0), (0.0, WIDE_U_MAX)), 0.0, upper=True)[0])
+        (0.0, 1.0), (0.0, WIDE_U_MAX))
+    rows = [("k >= 0 on [0,1]", 0.0, "min", float(np.min(kv)),
+             (float(ts[int(np.argmin(kv))]), None)),
+            ("f <= k on [0,1]x[0,u_max]", excess, "max", 0.0, at)]
 
     ia = _a_integral(pb)
 
@@ -436,7 +432,6 @@ def check_contraction_small_p(pb: Problem, k_env: Expr, L: float) -> TheoremRepo
             power = math.inf
         bound = power / ((q - 1.0) * envelope_integral(pb.kernel_params) * ia)
     l1 = L / bound if bound > 0.0 else math.inf  # a bound that underflows to 0
-    checks.append(InequalityCheck("L < bound", L < bound, L, bound))
     return TheoremReport(
         theorem="3.5",
         inputs={"L": L, "u_max": WIDE_U_MAX},
@@ -446,7 +441,7 @@ def check_contraction_small_p(pb: Problem, k_env: Expr, L: float) -> TheoremRepo
             "l_bound": bound,
             "contraction_l1": l1,
         },
-        checks=checks,
+        checks=_decide(rows + [("L < bound", L, "<", bound)]),
         notes=(f"f - k sampled on a {LATTICE}x{LATTICE} {SAMPLER}",
                f"k_env = {exprlang.to_text(k_env)}"),
     )
@@ -485,9 +480,8 @@ def check_contraction_large_p(pb: Problem, mu: float, sigma: float,
                 - exprlang.evaluate(pb.a, t=t) * exprlang.evaluate(pb.f, t=t, u=u))
 
     t_min = 1.0 / (LATTICE - 1)
-    checks = [_sampled("a*f >= mu*sigma*t^(sigma-1) on (0,1]x[0,u_max]",
-                       box_maximum(deficit, (t_min, 1.0), (0.0, WIDE_U_MAX)),
-                       0.0, upper=True)[0]]
+    excess, at = box_maximum(deficit, (t_min, 1.0), (0.0, WIDE_U_MAX))
+    rows = [("a*f >= mu*sigma*t^(sigma-1) on (0,1]x[0,u_max]", excess, "max", 0.0, at)]
 
     ia = _positive_a_integral(pb, "the bound on k")
     beta_value = beta(pb.alpha - 1.0, c + 1.0)
@@ -499,7 +493,6 @@ def check_contraction_large_p(pb: Problem, mu: float, sigma: float,
                / ((q - 1.0) * mu_power * (c + pb.alpha + 1.0) * beta_value)
                / ia)
     contraction = k / k_bound if k_bound > 0.0 else math.inf  # k_bound underflows to 0
-    checks.append(InequalityCheck("k < bound", k < k_bound, k, k_bound))
     return TheoremReport(
         theorem="3.4",
         inputs={"mu": mu, "sigma": sigma, "k": k, "u_max": WIDE_U_MAX},
@@ -512,5 +505,5 @@ def check_contraction_large_p(pb: Problem, mu: float, sigma: float,
         },
         notes=(f"lower bound sampled on t in [{t_min}, 1] "
                f"({LATTICE}x{LATTICE} {SAMPLER})",),
-        checks=checks,
+        checks=_decide(rows + [("k < bound", k, "<", k_bound)]),
     )

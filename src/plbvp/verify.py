@@ -111,43 +111,49 @@ def boundary_residuals(pb: Problem, u: GridFunction) -> tuple:
     g(0) = 0, u''(0) = -I^(alpha-2) g(0) = 0, and u(1) + u'(1) - u'(eta) = 0
     by the definition of C0.  So on a solver solution the values show how
     well 4-point stencils differentiate the nodal values: |u''(0)| reads
-    8.1e-4, 2.9e-4 and 1.0e-4 on ex43 at 128, 256 and 512 panels.
+    8.1e-4, 2.9e-4 and 1.0e-4 on ex43 at 128, 256 and 512 panels.  Raises
+    ValueError where u's values are so large that a stencil overflows.
     """
     nodes = u.partition.nodes
     if nodes.size < MIN_BOUNDARY_NODES:
         raise ValueError(
             f"grid too coarse for boundary stencils: {nodes.size} < {MIN_BOUNDARY_NODES}")
     vals = u.values
-    d1_0 = float(fd_weights(nodes[0], nodes[:4], 1) @ vals[:4])
-    d2_0 = float(fd_weights(nodes[0], nodes[:4], 2) @ vals[:4])
-    d1_1 = float(fd_weights(nodes[-1], nodes[-4:], 1) @ vals[-4:])
-    eta = pb.eta
-    j = int(np.searchsorted(nodes, eta))
-    lo = min(max(j - 2, 0), nodes.size - 4)
-    d1_eta = float(fd_weights(eta, nodes[lo:lo + 4], 1) @ vals[lo:lo + 4])
-    third = vals[-1] + d1_1 - d1_eta
-    return (abs(d1_0), abs(d2_0), abs(third))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
+        d1_0 = float(fd_weights(nodes[0], nodes[:4], 1) @ vals[:4])
+        d2_0 = float(fd_weights(nodes[0], nodes[:4], 2) @ vals[:4])
+        d1_1 = float(fd_weights(nodes[-1], nodes[-4:], 1) @ vals[-4:])
+        j = int(np.searchsorted(nodes, pb.eta))
+        lo = min(max(j - 2, 0), nodes.size - 4)
+        d1_eta = float(fd_weights(pb.eta, nodes[lo:lo + 4], 1) @ vals[lo:lo + 4])
+        third = vals[-1] + d1_1 - d1_eta
+    return _finite(u, abs(d1_0), abs(d2_0), abs(third))
+
+
+def _finite(u: GridFunction, *values: float) -> tuple:
+    if not np.isfinite(values).all():
+        raise ValueError("the boundary stencils or the interpolant of u overflow: "
+                         f"|u| reaches {float(np.max(np.abs(u.values)))!r}")
+    return values
 
 
 def verification_report(pb: Problem, u: GridFunction, rho: float) -> VerificationReport:
     """Raises ValueError where u's values are so large that a boundary
     stencil or u's interpolant overflows."""
     residual = integral_form_residual(pb, u)
+    bc = boundary_residuals(pb, u)
     nodes = u.partition.nodes
     # a minimum or maximum depends neither on the order of its points nor on
     # repeated points, and each value on its own point alone
     whole = np.concatenate([np.linspace(0.0, 1.0, _DENSE_SAMPLES + 1), nodes])
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        bc = boundary_residuals(pb, u)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
         gam = cone_gamma(pb.kernel_params, rho)
         values = u(np.concatenate([whole, np.linspace(0.0, rho, _DENSE_SAMPLES + 1),
                                    nodes[nodes <= rho]]))
         dense, head = values[:whole.size], values[whole.size:]
         sup = float(np.max(np.abs(dense)))
         slack = float(np.min(head) - gam * sup)
-    if not np.isfinite([*bc, sup, slack]).all():
-        raise ValueError("the boundary stencils or the interpolant of u overflow: "
-                         f"|u| reaches {float(np.max(np.abs(u.values)))!r}")
+    _finite(u, sup, slack)
     return VerificationReport(
         integral_form_residual=residual,
         bc_residuals=bc,

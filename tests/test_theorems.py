@@ -10,7 +10,9 @@ import pytest
 
 from plbvp import theorems
 from plbvp.cases import CASES
-from plbvp.exprlang import ExprEvalError, evaluate, parse
+from plbvp.cli import _run_check
+from plbvp.exprlang import ExprEvalError, evaluate, parse, to_text
+from plbvp.problemfile import ProblemConfig
 from plbvp.solver import Discretization, Problem, picard_solve
 from plbvp.specialfn import gamma
 from plbvp.theorems import (
@@ -858,3 +860,107 @@ def test_failed_computations_are_not_kept(monkeypatch):
     assert len(rules) == 1 + 2
     assert set(pb.__dict__.get("_kept", {})) <= {"a_integral", ("lambda2", 0.5)}
     assert check_leray_schauder(pb, 100.0).quantities["f_max"] == math.sqrt(150.0)
+
+
+# --- how a check is decided -------------------------------------------------
+
+def _check(rep, name):
+    """The check of rep called name."""
+    (check,) = [c for c in rep.checks if c.name == name]
+    return check
+
+
+@pytest.mark.parametrize("k_env, holds", [("1 - 5e-13", True), ("1 - 2e-12", False)])
+def test_sampled_maximum_is_allowed_the_slack(k_env, holds):
+    # f - k has the sampled maximum 1 - k, allowed SAMPLING_SLACK = 1e-12 above 0
+    rep = check_contraction_small_p(_problem(), parse(k_env, variables=("t",)), 1.0)
+    assert _check(rep, "f <= k on [0,1]x[0,u_max]").holds is holds
+
+
+@pytest.mark.parametrize("k_env, holds", [("-5e-13", True), ("-2e-12", False)])
+def test_sampled_minimum_is_allowed_the_slack(k_env, holds):
+    # k's sampled minimum may lie SAMPLING_SLACK below its bound 0
+    rep = check_contraction_small_p(_problem(), parse(k_env, variables=("t",)), 1.0)
+    check = _check(rep, "k >= 0 on [0,1]")
+    assert check.holds is holds
+    assert (check.lhs, check.rhs, check.witness) == (0.0, float(k_env), (0.0, None))
+
+
+@pytest.mark.parametrize("mu, holds", [(1.0 + 5e-13, True), (1.0 + 2e-12, False)])
+def test_sampled_lower_bound_of_3_4_is_allowed_the_slack(mu, holds):
+    # a f = 1 against mu sigma t^(sigma-1) = mu: the deficit's maximum is mu - 1
+    rep = check_contraction_large_p(_problem(p=3.0), mu=mu, sigma=1.0, k=0.1)
+    assert _check(rep, "a*f >= mu*sigma*t^(sigma-1) on (0,1]x[0,u_max]").holds is holds
+
+
+def test_strict_closed_form_sides_are_compared_exactly():
+    pb = _problem()
+    bound = check_leray_schauder(pb, 1.0).quantities["rhs"]
+    assert not check_leray_schauder(pb, bound).holds
+    assert check_leray_schauder(pb, math.nextafter(bound, math.inf)).holds
+    case = CASES["ex43"]
+    rep = check_krasnoselskii(case.problem, case.rho, 1.0, 1.0)
+    check = _check(rep, "rho1 < rho2")
+    assert not check.holds and check.lhs == check.rhs == 1.0
+
+
+def test_weak_closed_form_sides_hold_at_equality():
+    case = CASES["ex43"]
+    lam2 = lambda2(case.problem, case.rho)
+    rep = check_krasnoselskii(case.problem, case.rho, case.flags["rho1"], case.flags["rho2"],
+                              M2=lam2)
+    check = _check(rep, "M2 >= Lambda2")
+    assert check.holds and check.lhs == check.rhs == lam2
+    rep = check_krasnoselskii(case.problem, case.rho, case.flags["rho1"], case.flags["rho2"],
+                              M2=math.nextafter(lam2, 0.0))
+    assert not _check(rep, "M2 >= Lambda2").holds
+
+
+# --- relation R1: a -> c a, f -> f / c ---------------------------------------
+
+_SCALES = (2.0, 1e-3, 1e3, 1e-8, 1e8)
+
+
+def _check_scaled(config, flags, c):
+    """plbvp check's report on config with a -> c a and f -> f / c, and with
+    the flags k, L and k_env -> 1/c of themselves; c = 1 changes no value."""
+    pb = config.problem
+    scaled = replace(pb, a=parse(f"{c!r}*({to_text(pb.a)})", variables=("t",)),
+                     f=parse(f"({to_text(pb.f)})/{c!r}"))
+    flags = {name: value / c if name in ("k", "L") else value for name, value in flags.items()}
+    if "k_env" in flags:
+        flags["k_env"] = f"({flags['k_env']})/{c!r}"
+    return _run_check(replace(config, problem=scaled), **flags)
+
+
+def _r1_calls():
+    """(config, flags) of the bench's check calls on its refine and seed-0
+    scan instances at 64 panels, 3.2 and 3.3 at nu = 0.1 top included, and
+    of the bundled cases' checks, ex43's 3.2 and CI's 3.4 call included."""
+    oracle = _bench_oracle()
+    for inst in list(oracle.REFINE) + oracle.scan_batch(np.random.default_rng(0)):
+        config, top = ProblemConfig(problem=inst.problem(64)), float(inst.exact(0.0))
+        for theorem in ("3.1", "3.2"):
+            yield config, {"theorem": theorem, "rho1": 0.1 * top, "rho2": 2.0 * top}
+        for nu in (2.0 * top, 0.1 * top):
+            yield config, {"theorem": "3.3", "nu": nu}
+        if inst.p > 2.0:
+            yield config, {"theorem": "3.4", "mu": 0.1, "sigma": 0.5 / (2.0 - inst.q),
+                           "k": 0.1}
+        else:
+            yield config, {"theorem": "3.5", "k_env": "exp(-t)", "L": 1.0}
+    for case in CASES.values():
+        yield case, case.flags
+    yield CASES["ex43"], {"theorem": "3.2", "rho1": 0.5, "rho2": 1.0}
+    yield CASES["ex43"], {"theorem": "3.4", "mu": 0.005, "sigma": 1.5, "k": 0.01}
+
+
+def test_scaling_a_up_and_f_down_moves_no_verdict():
+    calls = list(_r1_calls())
+    assert len(calls) == 34 * 5 + 5
+    moved = []
+    for call in calls:
+        verdicts = [c.holds for c in _check_scaled(*call, 1.0).checks]
+        moved += [(call[1], c) for c in _SCALES
+                  if [check.holds for check in _check_scaled(*call, c).checks] != verdicts]
+    assert moved == []

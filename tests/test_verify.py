@@ -326,3 +326,11 @@ def test_values_whose_stencils_overflow_are_rejected():
     assert integral_form_residual(pb, u) == 1.7e308
     with pytest.raises(ValueError, match=r"overflow: \|u\| reaches 1\.7e\+308$"):
         verification_report(pb, u, 0.5)
+
+
+def test_boundary_residuals_of_values_whose_stencils_overflow_raise():
+    # called directly, as verification_report calls it, without a warning
+    part = Partition.graded(32, 2.0)
+    values = np.where(np.arange(part.nodes.size) % 2 == 0, 1.7e308, 0.0)
+    with pytest.raises(ValueError, match=r"overflow: \|u\| reaches 1\.7e\+308$"):
+        boundary_residuals(_problem(panels=32), GridFunction(part, values))
