@@ -16,29 +16,27 @@ Exit status: 0 success, 1 hypotheses_fail or non-convergence, 2 input error.
 import argparse
 import sys
 from dataclasses import asdict, fields, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import exprlang
-from .cases import CASES
 from .problemfile import ProblemConfig, dump_problem, load_problem
 from .quadrature import GridFunction, Partition, QuadratureError
 from .solver import SolverError, SolverSettings, picard_solve
-from .specialfn import gamma
-from .theorems import (
-    TheoremReport,
-    check_contraction_large_p,
-    check_contraction_small_p,
-    check_krasnoselskii,
-    check_leray_schauder,
-)
-from .verify import verification_report
+
+if TYPE_CHECKING:
+    from .theorems import TheoremReport
 
 __all__ = ["main", "entry"]
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+
+# The ids of plbvp.cases.CASES, the choices of reproduce, named here so that
+# building the parser imports no case.
+_CASE_IDS = ("ex41", "ex42", "ex43")
 
 
 def _fmt(value) -> str:
@@ -74,7 +72,7 @@ def _problem_lines(config: ProblemConfig):
     ]
 
 
-def _report_lines(report: TheoremReport):
+def _report_lines(report: "TheoremReport"):
     lines = [("theorem", report.theorem)]
     lines += [(k, v) for k, v in report.inputs.items()]
     lines += [(k, v) for k, v in report.quantities.items()]
@@ -145,7 +143,14 @@ _CHECK_FLAGS = ("theorem", "rho1", "rho2", "M1", "M2", "nu", "L", "k_env", "mu",
 
 def _run_check(config: ProblemConfig, *, theorem: str, rho1=None, rho2=None, M1=None,
                M2=None, nu=None, L=None, k_env=None, mu=None, sigma=None,
-               k=None) -> TheoremReport:
+               k=None) -> "TheoremReport":
+    from .theorems import (
+        check_contraction_large_p,
+        check_contraction_small_p,
+        check_krasnoselskii,
+        check_leray_schauder,
+    )
+
     pb = config.problem
     if theorem in ("3.1", "3.2"):
         if rho1 is None or rho2 is None:
@@ -185,6 +190,8 @@ def _read_solution_csv(path) -> GridFunction:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import verification_report
+
     config = _load_config(args)
     u = _read_solution_csv(args.solution)
     report = verification_report(config.problem, u, config.rho)
@@ -207,6 +214,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
+    from .cases import CASES
+    from .specialfn import gamma
+
     case = CASES[args.case]
     report = _run_check(case, **case.flags)
     lines = [("command", "reproduce"), ("case", args.case)]
@@ -221,6 +231,8 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_dump(args) -> int:
+    from .cases import CASES
+
     _write(dump_problem(CASES.get(args.source) or load_problem(args.source)), args.out)
     return EXIT_OK
 
@@ -262,7 +274,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_rep = sub.add_parser("reproduce", help="rerun a bundled case")
-    p_rep.add_argument("case", choices=sorted(CASES))
+    p_rep.add_argument("case", choices=_CASE_IDS)
     p_rep.add_argument("--out")
     p_rep.set_defaults(func=_cmd_reproduce)
 

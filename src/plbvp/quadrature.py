@@ -44,11 +44,45 @@ class QuadratureError(RuntimeError):
     """Raised when an integrand produces a non-finite sample."""
 
 
+def _legval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The Legendre series with coefficients c at x, by Clenshaw's recurrence
+    in the order of operations of numpy's ``legval``."""
+    if len(c) == 1:
+        return c[0] + 0 * x
+    c0, c1 = c[-2], c[-1]
+    nd = len(c)
+    for i in range(3, len(c) + 1):
+        nd -= 1
+        c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=None)
 def _leggauss(points: int):
+    """numpy's ``np.polynomial.legendre.leggauss(points)``, bit for bit,
+    without importing ``numpy.polynomial``: the eigenvalues of the symmetric
+    companion matrix of P_n, one Newton step, and the weights
+    1 / (P_{n-1} P_n') scaled, symmetrised and normalised to total 2, each
+    step as numpy takes it.  Rules are cached, read-only."""
     if points < 1:
         raise ValueError("points per panel must be >= 1")
-    x, w = np.polynomial.legendre.leggauss(points)
+    n = points
+    c = np.zeros(n + 1)
+    c[-1] = 1.0  # P_n
+    k = np.arange(n)
+    dc = np.where((n - 1 - k) % 2 == 0, 2.0 * k + 1.0, 0.0)  # P_n' = sum (2k+1) P_k
+    scl = 1.0 / np.sqrt(2 * k + 1)
+    off = np.arange(1, n) * scl[:n - 1] * scl[1:n]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    df = _legval(x, dc)
+    x -= _legval(x, c) / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

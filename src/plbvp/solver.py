@@ -151,8 +151,10 @@ class Problem:
 
     A problem keeps what its computations share, as ``_kept``: the operator
     plan and last application of :meth:`_rows`, under "plan" and "last", and
-    the values of :meth:`_keep`.  ``_kept`` is not a field: equality, hashing
-    and repr ignore it, and pickling and copying leave it out.
+    the values of :meth:`_keep`.  For 1 < p < 2, validation keeps f's values
+    on its lattice under "f_lattice", where theorem 3.5's search starts.
+    ``_kept`` is not a field: equality, hashing and repr ignore it, and
+    pickling and copying leave it out.
     """
 
     alpha: float
@@ -189,6 +191,9 @@ class Problem:
         _VALIDATED[texts] = None
         if len(_VALIDATED) > VALIDATED_MAX:
             del _VALIDATED[next(iter(_VALIDATED))]
+        if 1.0 < self.p < 2.0:  # theorem 3.5 samples f on the same lattice
+            fvals.setflags(write=False)
+            self._keep("f_lattice", lambda: fvals)
 
     @property
     def q(self) -> float:

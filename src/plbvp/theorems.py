@@ -12,7 +12,9 @@ A problem keeps what the checks share (see ``Problem._keep``): int_0^1 a,
 used by Lambda_1, 3.3, 3.4 and 3.5; Lambda_2 for each rho, used by 3.1 and
 3.2; and f's sampled maximum or minimum with its witness for each box, so
 3.3 with nu = rho2 and 3.1 sample [0, 1] x [0, rho2] once.  The sampled
-inequalities of 3.4 and 3.5 depend on their own inputs and are not kept.
+inequalities of 3.4 and 3.5 depend on their own inputs and are not kept,
+but 3.5 starts from f on the lattice of [0, 1] x [0, WIDE_U_MAX], which
+a problem with 1 < p < 2 keeps from its validation.
 A computation that raises keeps nothing: the next call raises again.
 
 Sampling makes these semi-decisions: a violated inequality is certified
@@ -211,11 +213,17 @@ def box_maximum(fn, t_range, u_range, lattice: int = LATTICE):
     samples the patterns after a move, points in the box that a stepwise
     search would skip: fn must be defined on the whole box.
     """
+    return _box_maximum(fn, t_range, u_range, lattice, fn)
+
+
+def _box_maximum(fn, t_range, u_range, lattice: int, on_lattice):
+    """:func:`box_maximum`, with on_lattice(ts, us) for fn(ts, us) on the
+    lattice, for a caller that has some of those values already."""
     t_lo, t_hi = t_range
     u_lo, u_hi = u_range
     ts = np.linspace(t_lo, t_hi, lattice)
     us = np.linspace(u_lo, u_hi, lattice)
-    vals = np.broadcast_to(np.asarray(fn(ts[:, None], us[None, :]), float),
+    vals = np.broadcast_to(np.asarray(on_lattice(ts[:, None], us[None, :]), float),
                            (ts.size, us.size))
     i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
     best, best_t, best_u = float(vals[i, j]), ts[i], us[j]
@@ -407,9 +415,13 @@ def check_contraction_small_p(pb: Problem, k_env: Expr, L: float) -> TheoremRepo
 
     ts = np.linspace(0.0, 1.0, LATTICE)
     kv = exprlang.evaluate(k_env, t=ts)
-    excess, at = box_maximum(
+    # f on the box's lattice, as validation sampled it (see Problem)
+    f_lattice = pb._keep("f_lattice", lambda: exprlang.evaluate(
+        pb.f, t=ts[:, None], u=np.linspace(0.0, WIDE_U_MAX, LATTICE)[None, :]))
+    excess, at = _box_maximum(
         lambda t, u: exprlang.evaluate(pb.f, t=t, u=u) - exprlang.evaluate(k_env, t=t),
-        (0.0, 1.0), (0.0, WIDE_U_MAX))
+        (0.0, 1.0), (0.0, WIDE_U_MAX), LATTICE,
+        lambda t, u: f_lattice - exprlang.evaluate(k_env, t=t))
     rows = [("k >= 0 on [0,1]", 0.0, "min", float(np.min(kv)),
              (float(ts[int(np.argmin(kv))]), None)),
             ("f <= k on [0,1]x[0,u_max]", excess, "max", 0.0, at)]

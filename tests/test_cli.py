@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import plbvp
+from plbvp import cli
 from plbvp.cases import CASES
 from plbvp.cli import entry, main
 
@@ -580,12 +582,64 @@ def test_console_script_entry_dumps_bundled_file(monkeypatch, capsys):
     assert capsys.readouterr().out == (PROBLEMS / "ex41.problem").read_text(encoding="utf-8")
 
 
-def test_cli_import_needs_no_scipy():
+def _fresh(code: str):
+    """The last line code prints in a fresh interpreter, run from the
+    repository root, as a Python literal."""
     src = str(Path(plbvp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys, plbvp.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+                         capture_output=True, text=True, cwd=PROBLEMS.parent).stdout
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+def _modules_after(code: str) -> list:
+    """The plbvp, scipy and numpy.polynomial modules a fresh interpreter has
+    imported after running code."""
+    return _fresh(code + "\nimport sys\nprint(sorted(m for m in sys.modules if "
+                  "m.split('.')[0] in ('plbvp', 'scipy') or m.startswith('numpy.polynomial')))")
+
+
+def test_cli_import_needs_no_scipy(tmp_path):
+    # each subcommand imports only the modules it runs
+    csv = str(tmp_path / "u.csv")
+    calls = {
+        "solve": ["solve", "problems/ex43.problem", "--out", csv],
+        "verify": ["verify", "problems/ex43.problem", "--solution", csv],
+        "check": ["check", "--theorem", "3.5", "--k-env", "exp(-t)", "--L", "2",
+                  "problems/ex42.problem"],
+        "reproduce": ["reproduce", "ex43"],
+        "dump": ["dump", "ex43"],
+    }
+    runs = {"import": "import plbvp.cli"}
+    for name, argv in calls.items():
+        runs[name] = ("import contextlib, io\nfrom plbvp.cli import main\n"
+                      "with contextlib.redirect_stdout(io.StringIO()):\n"
+                      f"    assert main({argv!r}) == 0")
+    base = {"plbvp", "plbvp.cli", "plbvp.exprlang", "plbvp.greens", "plbvp.plaplacian",
+            "plbvp.problemfile", "plbvp.quadrature", "plbvp.solver"}
+    want = {"import": base, "solve": base, "verify": base | {"plbvp.verify"},
+            "check": base | {"plbvp.specialfn", "plbvp.theorems"},
+            "reproduce": base | {"plbvp.cases", "plbvp.specialfn", "plbvp.theorems"},
+            "dump": base | {"plbvp.cases"}}
+    for name, code in runs.items():
+        assert set(_modules_after(code)) == want[name], name
+
+
+def test_bare_package_import_imports_no_submodule():
+    assert _modules_after("import plbvp") == ["plbvp"]
+
+
+def test_bundled_case_is_built_when_first_asked_for():
+    code = ("import contextlib, io\nfrom plbvp.cases import CASES\nfrom plbvp.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['reproduce', 'ex43']), main(['dump', 'ex43'])\n"
+            "print(list(CASES._built))")
+    assert _fresh(code) == ["ex43"]
+    assert CASES["ex43"] is CASES["ex43"] and CASES.get("ex44") is None
+
+
+def test_reproduce_choices_are_the_case_ids(capsys):
+    assert cli._CASE_IDS == tuple(sorted(CASES))
+    code, out, _ = _run(capsys, "reproduce", "--help")
+    assert code == 0 and "{ex41,ex42,ex43}" in out

@@ -8,6 +8,7 @@ from plbvp.quadrature import (
     GridFunction,
     Partition,
     QuadratureError,
+    _leggauss,
     _pchip_slopes,
     _pchip_weights,
     cumulative,
@@ -252,3 +253,11 @@ def test_cumulative_monotone_for_nonnegative():
         # interpolated values stay monotone too (shape preservation)
         xs = np.linspace(0.0, 1.0, 1000)
         assert np.all(np.diff(f(xs)) >= -1e-12)
+
+
+@pytest.mark.parametrize("m", range(1, 65))
+def test_leggauss_is_numpys_rule_bit_for_bit(m):
+    x, w = _leggauss(m)
+    nx, nw = np.polynomial.legendre.leggauss(m)
+    assert x.tobytes() == nx.tobytes() and w.tobytes() == nw.tobytes()
+    assert not (x.flags.writeable or w.flags.writeable)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from plbvp import theorems
+from plbvp import solver, theorems
 from plbvp.cases import CASES
 from plbvp.cli import _run_check
 from plbvp.exprlang import ExprEvalError, evaluate, parse, to_text
@@ -648,6 +648,23 @@ def test_contraction_small_p_whose_ak_integral_overflows_fails():
     assert rep.quantities["l_bound"] == 0.0
     assert rep.quantities["contraction_l1"] == math.inf
     assert not rep.holds and _first_failure(rep).name == "L < bound"
+
+
+def test_contraction_small_p_starts_from_the_validation_lattice(monkeypatch):
+    # validation keeps f on its lattice for 1 < p < 2, and 3.5 starts from it;
+    # a copy, whose texts are already validated, samples f on demand
+    monkeypatch.setattr(solver, "_VALIDATED", {})
+    pb = _problem(a="1 + t", f="exp(-t)*sin(u)^2 + 0.2*t*u/(1 + u)", p=1.4)
+    kept = pb.__dict__["_kept"]["f_lattice"]
+    assert kept.shape == (theorems.LATTICE, theorems.LATTICE) and not kept.flags.writeable
+    copy = replace(pb)
+    assert "_kept" not in copy.__dict__
+    k_env = parse("1.2*exp(-t)", variables=("t",))
+    rep = check_contraction_small_p(pb, k_env, 1.0)
+    assert pb.__dict__["_kept"]["f_lattice"] is kept
+    assert check_contraction_small_p(copy, k_env, 1.0) == rep
+    assert np.array_equal(copy.__dict__["_kept"]["f_lattice"], kept)
+    assert "_kept" not in _problem(p=2.5).__dict__
 
 
 def test_contraction_small_p_large_l_fails():
