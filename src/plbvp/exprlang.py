@@ -10,7 +10,8 @@ text.  The grammar is conventional infix arithmetic:
 
 '^' is right-associative, and a leading minus applies to the whole power:
 -x^2 parses as -(x^2).  The only variables are t and u; pi and e are
-built-in constants, and e^t is written exp(t).
+built-in constants, and e^t is written exp(t).  Nesting deeper than
+MAX_DEPTH levels is a syntax error.
 
 Evaluation is array-aware (scalars or numpy arrays for t and u) and total
 on valid domains: log of a nonpositive value, square root of a negative,
@@ -48,6 +49,11 @@ __all__ = [
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
 DEFAULT_VARIABLES = ("t", "u")
+
+# The deepest nesting parse accepts, in its own calls and in the height of
+# the tree it builds.  Compiling, evaluating, printing and variables_of take
+# a stack frame per level, so 900 leaves a caller 100 of Python's default 1000.
+MAX_DEPTH = 900
 
 
 class ExprError(ValueError):
@@ -155,7 +161,17 @@ def _tokenize(text: str):
     return tokens
 
 
+def _level(level: int, offset: int) -> int:
+    """level, if it is at most MAX_DEPTH; else the syntax error at offset."""
+    if level > MAX_DEPTH:
+        raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", offset)
+    return level
+
+
 class _Parser:
+    """Recursive descent.  Each method takes its depth in the parser's calls
+    and returns its node with the node's height: MAX_DEPTH bounds both."""
+
     def __init__(self, tokens, variables):
         self.tokens = tokens
         self.pos = 0
@@ -177,62 +193,68 @@ class _Parser:
                                   tok[2])
         return self.advance()
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
+    def parse_expr(self, depth: int) -> tuple:
+        node, height = self.parse_term(depth + 1)
         while self.current[0] in ("+", "-"):
-            op = self.advance()[0]
-            node = Bin(op, node, self.parse_term())
-        return node
+            op, _, offset = self.advance()
+            rhs, rhs_height = self.parse_term(depth + 1)
+            node, height = Bin(op, node, rhs), _level(1 + max(height, rhs_height), offset)
+        return node, height
 
-    def parse_term(self) -> Expr:
-        node = self.parse_factor()
+    def parse_term(self, depth: int) -> tuple:
+        node, height = self.parse_factor(depth + 1)
         while self.current[0] in ("*", "/"):
-            op = self.advance()[0]
-            node = Bin(op, node, self.parse_factor())
-        return node
+            op, _, offset = self.advance()
+            rhs, rhs_height = self.parse_factor(depth + 1)
+            node, height = Bin(op, node, rhs), _level(1 + max(height, rhs_height), offset)
+        return node, height
 
-    def parse_factor(self) -> Expr:
+    def parse_factor(self, depth: int) -> tuple:
+        offset = self.current[2]
+        _level(depth, offset)  # every recursion of the parser passes through here
         if self.current[0] == "-":
             self.advance()
-            return Neg(self.parse_factor())
-        node = self.parse_base()
+            node, height = self.parse_factor(depth + 1)
+            return Neg(node), _level(1 + height, offset)
+        node, height = self.parse_base(depth + 1)
         if self.current[0] == "^":
-            self.advance()
-            node = Bin("^", node, self.parse_factor())
-        return node
+            offset = self.advance()[2]
+            rhs, rhs_height = self.parse_factor(depth + 1)
+            node, height = Bin("^", node, rhs), _level(1 + max(height, rhs_height), offset)
+        return node, height
 
-    def parse_base(self) -> Expr:
+    def parse_base(self, depth: int) -> tuple:
         kind, text, offset = self.current
         if kind == "num":
             self.advance()
-            return Num(float(text))
+            return Num(float(text)), 1
         if kind == "ident":
             self.advance()
             if self.current[0] == "(":
-                return self.parse_call(text, offset)
+                return self.parse_call(text, offset, depth + 1)
             if text in CONSTANTS:
-                return Const(text)
+                return Const(text), 1
             if text in self.variables:
-                return Var(text)
+                return Var(text), 1
             if text in _CALLS:
                 raise ExprSyntaxError(f"function {text!r} needs arguments", offset)
             raise ExprSyntaxError(f"unknown identifier {text!r}", offset)
         if kind == "(":
             self.advance()
-            node = self.parse_expr()
+            node = self.parse_expr(depth + 1)
             self.expect(")")
             return node
         raise ExprSyntaxError(f"expected a value, found {text or 'end of input'!r}",
                               offset)
 
-    def parse_call(self, name: str, offset: int) -> Expr:
+    def parse_call(self, name: str, offset: int, depth: int) -> tuple:
         if name not in _CALLS:
             raise ExprSyntaxError(f"unknown function {name!r}", offset)
         self.expect("(")
-        args = [self.parse_expr()]
+        args = [self.parse_expr(depth + 1)]
         while self.current[0] == ",":
             self.advance()
-            args.append(self.parse_expr())
+            args.append(self.parse_expr(depth + 1))
         self.expect(")")
         arity = _CALLS[name][0]
         if len(args) != arity:
@@ -240,13 +262,14 @@ class _Parser:
                 f"{name} takes {arity} argument{'s' if arity > 1 else ''}, got {len(args)}",
                 offset,
             )
-        return Call(name, tuple(args))
+        nodes, heights = zip(*args)
+        return Call(name, nodes), _level(1 + max(heights), offset)
 
 
 def parse(text: str, variables=DEFAULT_VARIABLES) -> Expr:
     """Parse source text into an Expr, permitting only the given variables."""
     parser = _Parser(_tokenize(text), variables)
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr(1)
     kind, tok_text, offset = parser.current
     if kind != "eof":
         raise ExprSyntaxError(f"unexpected trailing input {tok_text!r}", offset)
@@ -489,7 +512,7 @@ def to_text(e: Expr) -> str:
     if isinstance(e, Neg):
         return "-" + _wrap(to_text(e.operand), _prec(e.operand) < _PREC_NEG)
     if isinstance(e, Call):
-        return f"{e.fn}({', '.join(to_text(a) for a in e.args)})"
+        return f"{e.fn}({', '.join(map(to_text, e.args))})"
     if isinstance(e, Bin):
         p = _prec(e)
         if e.op == "^":

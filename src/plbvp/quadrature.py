@@ -305,10 +305,11 @@ class GridFunction:
     """Values on a partition, interpolated by the shape-preserving piecewise
     cubic (PCHIP).
 
-    The PCHIP keeps interpolants of nonnegative monotone data nonnegative and
-    monotone; that matters because cumulative integrals of nonnegative
-    densities feed the p-Laplacian inverse, which expects a nonnegative
-    argument.  Instances are immutable and safe to share.
+    The PCHIP's cubic on each cell is monotone, since every slope lies
+    between 0 and 3 times the secants beside it (Fritsch and Carlson 1980):
+    its extrema lie at the nodes, and nonnegative data stay nonnegative, as
+    the p-Laplacian inverse of a cumulative integral of a nonnegative
+    density expects.  Instances are immutable and safe to share.
     """
 
     partition: Partition

@@ -211,6 +211,19 @@ def test_overflowing_coefficient_exits_two(tmp_path):
     assert "non-finite value" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("f", ["+".join(["u"] * 3000), "abs(" + "-" * 3000 + "u)",
+                               "(" * 1000 + "u" + ")" * 1000],
+                         ids=["sum", "minus", "parentheses"])
+def test_deeply_nested_coefficient_exits_two(tmp_path, capsys, f):
+    path = tmp_path / "deep.problem"
+    path.write_text(f'[problem]\nalpha = 2.5\neta = 0.5\np = 1.5\na = "1"\nf = "{f}"\n',
+                    encoding="utf-8")
+    for argv in (["check", "--theorem", "3.3", "--nu", "1"], ["solve"], ["dump"]):
+        code, out, err = _run(capsys, *argv, str(path))
+        assert code == 2 and out == ""
+        assert "deep.problem:6: bad expression for f(t, u): expression nested deeper" in err
+
+
 def test_nan_tolerance_exits_two(capsys, ex43_file):
     code, _, err = _run(capsys, "solve", str(ex43_file), "--tol", "nan")
     assert code == 2

@@ -398,3 +398,53 @@ def test_long_sum_evaluates():
     # evaluating take one stack frame per level, as the tree walk did
     e = parse(" + ".join(["u*t"] * 800))
     assert evaluate(e, t=0.5, u=2.0) == 800.0
+
+
+# text at nesting n, and its value at u = 0.25
+_DEEP = {
+    "sum": (lambda n: "+".join(["u"] * n), lambda n: 0.25 * n),
+    "minus": (lambda n: "abs(" + "-" * n + "u)", lambda n: 0.25),
+    "power": (lambda n: "1^" * n + "u", lambda n: 1.0),
+    "parentheses": (lambda n: "(" * n + "u" + ")" * n, lambda n: 0.25),
+    "calls": (lambda n: "abs(" * n + "u" + ")" * n, lambda n: 0.25),
+}
+
+
+def _deepest(make):
+    """Largest n at which parse accepts make(n)."""
+    lo, hi = 1, 2 * exprlang.MAX_DEPTH
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            parse(make(mid))
+            lo = mid
+        except ExprSyntaxError:
+            hi = mid - 1
+    return lo
+
+
+@pytest.mark.parametrize("shape", sorted(_DEEP))
+def test_nesting_past_the_limit_is_a_syntax_error(shape):
+    make, value = _DEEP[shape]
+    n = _deepest(make)
+    # the parser spends up to five calls on a level of parentheses or calls
+    assert (exprlang.MAX_DEPTH - 5) // 5 <= n <= exprlang.MAX_DEPTH
+    # the deepest accepted expression compiles, evaluates and prints
+    e = parse(make(n))
+    assert evaluate(e, t=0.5, u=0.25) == value(n)
+    assert to_text(parse(to_text(e))) == to_text(e) and variables_of(e) == {"u"}
+    with pytest.raises(ExprSyntaxError, match=f"nested deeper than {exprlang.MAX_DEPTH} levels"):
+        parse(make(n + 1))
+    for huge in (3000, 1000):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse(make(huge))
+        assert 0 < err.value.offset < len(make(huge))
+
+
+def test_too_deep_names_the_offset_of_its_level():
+    limit = exprlang.MAX_DEPTH
+    text = "+".join(["u"] * (limit + 1))
+    with pytest.raises(ExprSyntaxError) as err:
+        parse(text)
+    # the limit-th '+' makes the tree one level too high
+    assert err.value.offset == 2 * limit - 1 and text[err.value.offset] == "+"

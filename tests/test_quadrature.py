@@ -180,6 +180,20 @@ def test_pchip_slopes_match_the_masked_reference_bit_for_bit():
     assert branches == {"zero", "turn", "plain"}
 
 
+def test_pchip_is_monotone_on_every_cell():
+    # verify reads u's extrema at the nodes because of this
+    rng = np.random.default_rng(29)
+    for _ in range(100):
+        part = Partition.graded(int(rng.integers(16, 200)), float(rng.uniform(1.0, 3.0)))
+        x = part.nodes
+        u = GridFunction(part, rng.uniform(-1.0, 2.0, x.size))
+        inside = x[:-1, None] + rng.uniform(0.0, 1.0, (x.size - 1, 16)) * np.diff(x)[:, None]
+        values = u(inside.ravel()).reshape(inside.shape)
+        ends = u(x)
+        assert np.all(values >= np.minimum(ends[:-1], ends[1:])[:, None])
+        assert np.all(values <= np.maximum(ends[:-1], ends[1:])[:, None])
+
+
 def test_partition_validation():
     with pytest.raises(ValueError):
         Partition(np.array([0.0, 0.5, 1.0]))  # too few panels

@@ -938,12 +938,16 @@ def test_weak_closed_form_sides_hold_at_equality():
 _SCALES = (2.0, 1e-3, 1e3, 1e-8, 1e8)
 
 
+def _scaled(pb, c):
+    """pb with a -> c a and f -> f / c; c = 1 changes no value."""
+    return replace(pb, a=parse(f"{c!r}*({to_text(pb.a)})", variables=("t",)),
+                   f=parse(f"({to_text(pb.f)})/{c!r}"))
+
+
 def _check_scaled(config, flags, c):
     """plbvp check's report on config with a -> c a and f -> f / c, and with
-    the flags k, L and k_env -> 1/c of themselves; c = 1 changes no value."""
-    pb = config.problem
-    scaled = replace(pb, a=parse(f"{c!r}*({to_text(pb.a)})", variables=("t",)),
-                     f=parse(f"({to_text(pb.f)})/{c!r}"))
+    the flags k, L and k_env -> 1/c of themselves."""
+    scaled = _scaled(config.problem, c)
     flags = {name: value / c if name in ("k", "L") else value for name, value in flags.items()}
     if "k_env" in flags:
         flags["k_env"] = f"({flags['k_env']})/{c!r}"
@@ -981,3 +985,19 @@ def test_scaling_a_up_and_f_down_moves_no_verdict():
         moved += [(call[1], c) for c in _SCALES
                   if [check.holds for check in _check_scaled(*call, c).checks] != verdicts]
     assert moved == []
+
+
+def test_scaling_a_up_and_f_down_moves_no_solution():
+    # the refine and seed-0 scan instances at 64 panels
+    oracle = _bench_oracle()
+    worst = 0.0
+    for inst in list(oracle.REFINE) + oracle.scan_batch(np.random.default_rng(0)):
+        pb = inst.problem(64)
+        reference = picard_solve(_scaled(pb, 1.0))
+        assert reference.converged
+        for c in _SCALES:
+            report = picard_solve(_scaled(pb, c))
+            assert report.converged
+            gap = np.max(np.abs(report.solution.values - reference.solution.values))
+            worst = max(worst, float(gap / np.max(np.abs(reference.solution.values))))
+    assert worst <= 1e-13

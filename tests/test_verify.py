@@ -10,7 +10,6 @@ from plbvp.quadrature import GridFunction, Partition, QuadratureError
 from plbvp.solver import (Discretization, KernelAssembly, Problem, apply_operator, kernel_route,
                           picard_solve)
 from plbvp.verify import (
-    _DENSE_SAMPLES,
     VerificationReport,
     boundary_residuals,
     fd_weights,
@@ -182,6 +181,10 @@ def test_cone_check_cases():
     assert slack < 0.0
 
 
+# points of each dense grid of the reference report below
+_DENSE_SAMPLES = 2048
+
+
 def _sorted_dense_report(pb, u, rho):
     """Reference: the report from u evaluated twice, on the sorted union of
     each interval's dense grid and the nodes in it."""
@@ -207,13 +210,35 @@ def test_report_matches_sorted_dense_points_bit_for_bit(manufactured):
     nodes = part.nodes
     rng = np.random.default_rng(5)
     functions = [solution, GridFunction.constant(part, 0.6), GridFunction(part, nodes.copy()),
-                 GridFunction(part, rng.uniform(0.0, 2.0, nodes.size))]
+                 GridFunction(part, rng.uniform(0.0, 2.0, nodes.size)),
+                 # data that is not monotone: a |sin| wave, alternating values
+                 # and a random walk clipped at 0
+                 GridFunction(part, np.abs(np.sin(23.0 * nodes + 0.4))),
+                 GridFunction(part, np.where(np.arange(nodes.size) % 2 == 0, 0.3, 1.7)),
+                 GridFunction(part, np.clip(0.2 + np.cumsum(rng.normal(0.0, 0.1, nodes.size)),
+                                            0.0, None))]
     between = 0.5 * (nodes[9] + nodes[10])
     for u in functions:
         for rho in (0.5, float(nodes[9]), between, 1e-9):
             got, want = verification_report(pb, u, rho), _sorted_dense_report(pb, u, rho)
             assert repr(got) == repr(want)
             assert [type(x) for x in got.bc_residuals] == [type(x) for x in want.bc_residuals]
+
+
+def test_min_below_the_first_node_is_the_interpolant_at_rho():
+    # on a nearly flat first cell the cubic, as rounded, is not monotone to
+    # the last bit: a dense point just below rho reads one ulp under u(rho).
+    # The report takes the minimum where the monotone cubic has it, at rho.
+    pb = _problem(panels=64)
+    part = Partition.graded(565, 2.3558571271610553)
+    u = GridFunction(part, 1.1796530566548498 - 0.17211936805501415
+                     * part.nodes ** 4.501918206587616)
+    rho = 0.000672307471454589
+    at_rho = u(rho)
+    dense = float(np.min(u(np.linspace(0.0, rho, _DENSE_SAMPLES + 1))))
+    assert dense == np.nextafter(at_rho, 0.0)
+    report = verification_report(pb, u, rho)
+    assert report.cone_slack == at_rho - cone_gamma(pb.kernel_params, rho) * report.sup_norm
 
 
 def test_report_evaluates_the_interpolant_once(manufactured, monkeypatch):
@@ -227,10 +252,8 @@ def test_report_evaluates_the_interpolant_once(manufactured, monkeypatch):
 
     monkeypatch.setattr(GridFunction, "__call__", counting)
     verification_report(pb, u, 0.5)
-    assert len(calls) == 1
-    # both grids, the nodes and the nodes in [0, rho]
-    nodes = u.partition.nodes
-    assert calls[0] == 2 * (_DENSE_SAMPLES + 1) + nodes.size + int(np.sum(nodes <= 0.5))
+    # at the nodes and at rho
+    assert calls == [u.partition.nodes.size + 1]
 
 
 def test_report_errors_keep_their_order():
