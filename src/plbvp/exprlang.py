@@ -88,6 +88,10 @@ class ExprOverflowError(ExprEvalError):
 class Expr:
     """Base class of parsed expression nodes.
 
+    Equality, hashing, repr, pickling and copying walk the tree on a list of
+    their own, not on the interpreter's stack, so they take a tree of any
+    height: equality and repr are those a dataclass would generate.
+
     :func:`evaluate` keeps the compiled form of the expression it evaluates
     on the node, as ``_compiled``.  It is not a field: equality, hashing and
     repr ignore it, and pickling and copying leave it out.
@@ -95,41 +99,108 @@ class Expr:
 
     __slots__ = ()
 
-    def __getstate__(self):
-        return {k: v for k, v in self.__dict__.items() if k != "_compiled"}
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._flat() == other._flat()
+
+    def __hash__(self):
+        return hash(self._flat())
+
+    def __repr__(self):
+        return _fold(self._flat(), _node_repr)
+
+    def __reduce__(self):  # pickling and copying rebuild the tree from its rows
+        return _rebuild, (self._flat(),)
+
+    def _flat(self) -> tuple:
+        """The tree as rows (class, fields that are not nodes, child count),
+        every child before its parent and left before right: the rows
+        determine the tree, and compare as its fields would."""
+        rows, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            fields, children = _parts(node)
+            rows.append((node.__class__, fields, len(children)))
+            stack.extend(children)
+        return tuple(reversed(rows))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Num(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Neg(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Bin(Expr):
     op: str
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Call(Expr):
     fn: str
     args: tuple
+
+
+def _parts(e: Expr) -> tuple:
+    """(the node's fields that are not nodes, its child nodes)."""
+    if isinstance(e, Bin):
+        return (e.op,), (e.lhs, e.rhs)
+    if isinstance(e, Neg):
+        return (), (e.operand,)
+    if isinstance(e, Call):
+        return (e.fn,), e.args
+    if isinstance(e, Num):
+        return (e.value,), ()
+    return (e.name,), ()
+
+
+def _fold(rows: tuple, join):
+    """The value at the root of join(class, fields, child values), taken
+    over the rows of Expr._flat, children first."""
+    stack = []
+    for cls, fields, count in rows:
+        children = stack[len(stack) - count:]
+        del stack[len(stack) - count:]
+        stack.append(join(cls, fields, children))
+    return stack[0]
+
+
+def _node(cls, fields: tuple, children: list) -> Expr:
+    return cls(*fields, tuple(children)) if cls is Call else cls(*fields, *children)
+
+
+def _rebuild(rows: tuple) -> Expr:
+    """The tree of the rows of Expr._flat."""
+    return _fold(rows, _node)
+
+
+def _node_repr(cls, fields: tuple, children: list) -> str:
+    """A node's repr as its dataclass would write it, from its children's."""
+    values = [repr(value) for value in fields]
+    if cls is Call:  # its arguments are a tuple
+        values.append(f"({', '.join(children)}{',' * (len(children) == 1)})")
+    else:
+        values += children
+    pairs = ", ".join(f"{name}={value}" for name, value in zip(cls.__dataclass_fields__, values))
+    return f"{cls.__qualname__}({pairs})"
 
 
 _TOKEN_RE = re.compile(
@@ -468,12 +539,17 @@ def evaluate(e: Expr, t=None, u=None):
     # domain checks preempt divide/invalid; overflow to inf is converted to
     # an ExprOverflowError below, so keep numpy quiet in between
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        fn = getattr(e, "_compiled", None)
-        if fn is None:
-            fn = _compile(e)
-            object.__setattr__(e, "_compiled", fn)
-        value = fn(t, u)
-    arr = np.asarray(value, dtype=float)
+        return _evaluate(e, t, u)
+
+
+def _evaluate(e: Expr, t, u):
+    """:func:`evaluate` in the caller's numpy error state, which must ignore
+    overflow, invalid results and division by zero."""
+    fn = getattr(e, "_compiled", None)
+    if fn is None:
+        fn = _compile(e)
+        object.__setattr__(e, "_compiled", fn)
+    arr = np.asarray(fn(t, u), dtype=float)
     finite = np.isfinite(arr)
     if not finite.all():
         raise ExprOverflowError("evaluation produced a non-finite value", e,

@@ -29,8 +29,17 @@ def phi(r: float, s):
     arr = np.asarray(s, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("phi requires finite arguments")
-    out = np.sign(arr) * np.abs(arr) ** (r - 1.0)
+    out = _phi(r, arr)
     return float(out) if np.isscalar(s) or arr.ndim == 0 else out
+
+
+def _phi(r: float, arr: np.ndarray) -> np.ndarray:
+    """phi_r of a float array, for an exponent r that :func:`phi` accepts,
+    without checking r or the array: sign(s) |s|^(r-1), formed in place."""
+    out = np.abs(arr)
+    out **= r - 1.0
+    out *= np.sign(arr)
+    return out
 
 
 def conjugate(p: float) -> float:

@@ -214,6 +214,11 @@ def _pchip_weights(h: np.ndarray) -> tuple:
     return w1, w2, w1 + w2, h[[0, 1, -2, -1]].tolist()
 
 
+def _secants(h: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Secant slopes of the node values y on panels of widths h."""
+    return (y[1:] - y[:-1]) / h
+
+
 def _sign(x: float) -> float:
     """np.sign of a float: -1, 0 or 1, and nan for nan."""
     return x if x != x else float((x > 0.0) - (x < 0.0))
@@ -230,46 +235,51 @@ def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
     return end
 
 
-def _pchip_slopes(h: np.ndarray, y: np.ndarray, weights: tuple) -> np.ndarray:
-    """Fritsch-Carlson node slopes for panel widths h, with weights =
-    _pchip_weights(h): inside, the weighted harmonic mean of the neighbouring
-    secants, zero where they change sign or one vanishes; at the ends, the
-    one-sided three-point formula kept shape-preserving."""
+def _pchip_slopes(m: np.ndarray, weights: tuple) -> np.ndarray:
+    """Fritsch-Carlson node slopes for the secants m on panels of widths h,
+    with weights = _pchip_weights(h): inside, the weighted harmonic mean of
+    the neighbouring secants, zero where they change sign or one vanishes;
+    at the ends, the one-sided three-point formula kept shape-preserving.
+
+    The mean is taken everywhere, so it divides by a vanishing secant: call
+    this where numpy ignores division by zero, invalid results and
+    overflow."""
     w1, w2, w12, (h0, h1, hb1, hb0) = weights
-    m = (y[1:] - y[:-1]) / h
     sm = np.sign(m)
-    # the mean is taken everywhere and kept where the secants agree in sign
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        mean = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / w12)
-    d = np.empty_like(y)
+    mean = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / w12)
+    d = np.empty(m.size + 1)
     d[1:-1] = np.where(sm[:-1] * sm[1:] > 0.0, mean, 0.0)
-    m0, m1, mb1, mb0 = m[[0, 1, -2, -1]].tolist()
-    d[0] = _end_slope(h0, h1, m0, m1)
-    d[-1] = _end_slope(hb0, hb1, mb0, mb1)
+    d[0] = _end_slope(h0, h1, m.item(0), m.item(1))
+    d[-1] = _end_slope(hb0, hb1, m.item(-1), m.item(-2))
     return d
 
 
-def _running_integral(h: np.ndarray, y: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _running_integral(h: np.ndarray, hh: np.ndarray, y: np.ndarray,
+                      d: np.ndarray) -> np.ndarray:
     """Integral from 0 to each node of the cubic Hermite interpolant with node
-    values y and slopes d on panels of widths h: a panel contributes
-    h (y0 + y1) / 2 + h^2 (d0 - d1) / 12."""
+    values y and slopes d on panels of widths h, hh = h * h: a panel
+    contributes h (y0 + y1) / 2 + h^2 (d0 - d1) / 12."""
     panel = 0.5 * (y[1:] + y[:-1]) * h
-    panel += h * h * (d[:-1] - d[1:]) / 12.0
-    return np.concatenate([[0.0], np.cumsum(panel)])
+    panel += hh * (d[:-1] - d[1:]) / 12.0
+    out = np.empty(y.size)
+    out[0] = 0.0
+    np.cumsum(panel, out=out[1:])
+    return out
 
 
 class FixedPoints:
     """Points xi placed once on the partition with nodes x, so that cubics on
     it evaluate there without a search.
 
-    It keeps the panel widths and their PCHIP weights, the cell k of each
-    point and the offsets s, s * s and s * s * s of each point from x[k].
-    Points outside [x[0], x[-1]] fall in the end cells, whose cubics extend
-    there.
+    It keeps the panel widths, their squares and their PCHIP weights, the
+    cell k of each point and the offsets s, s * s and s * s * s of each
+    point from x[k].  Points outside [x[0], x[-1]] fall in the end cells,
+    whose cubics extend there.
     """
 
     def __init__(self, x: np.ndarray, xi: np.ndarray):
         self.widths = np.diff(x)
+        self.squares = self.widths * self.widths
         self.cell = np.clip(np.searchsorted(x, xi, side="right") - 1, 0,
                             self.widths.size - 1)
         s = xi - x[self.cell]
@@ -279,25 +289,36 @@ class FixedPoints:
     def weights(self) -> tuple:
         return _pchip_weights(self.widths)
 
-    def hermite(self, y: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Cubic Hermite interpolant with node values y and slopes d at the
-        points, in powers of the offsets."""
+    def hermite(self, y: np.ndarray, d: np.ndarray, secant: np.ndarray) -> np.ndarray:
+        """Cubic Hermite interpolant with node values y, slopes d and
+        secants secant = _secants(widths, y) at the points, in powers of
+        the offsets: y[k] + d[k] s + c2[k] s^2 + c3[k] s^3, summed left to
+        right in place."""
         h = self.widths
-        secant = np.diff(y) / h
         t = (d[:-1] + d[1:] - 2.0 * secant) / h
         c2 = (secant - d[:-1]) / h - t
         c3 = t / h
         k = self.cell
         s, ss, sss = self.offsets
-        return y[k] + d[k] * s + c2[k] * ss + c3[k] * sss
+        out = d[k]
+        out *= s
+        out += y[k]
+        for c, power in ((c2, ss), (c3, sss)):
+            term = c[k]
+            term *= power
+            out += term
+        return out
 
     def running_integral(self, y: np.ndarray) -> np.ndarray:
         """F = int_0^x of the PCHIP of node values y, at the points: the PCHIP
         of the node values of :func:`cumulative`, without building a
-        :class:`GridFunction`."""
+        :class:`GridFunction`.  F's secants serve both its slopes and its
+        cubics.  Numpy's error state is the caller's, as for
+        :func:`_pchip_slopes`."""
         h, weights = self.widths, self.weights
-        F = _running_integral(h, y, _pchip_slopes(h, y, weights))
-        return self.hermite(F, _pchip_slopes(h, F, weights))
+        F = _running_integral(h, self.squares, y, _pchip_slopes(_secants(h, y), weights))
+        m = _secants(h, F)
+        return self.hermite(F, _pchip_slopes(m, weights), m)
 
 
 @dataclass(frozen=True)
@@ -335,13 +356,17 @@ class GridFunction:
         return GridFunction(partition, np.full(partition.nodes.size, float(value)))
 
     @cached_property
-    def _slopes(self) -> np.ndarray:
+    def _pchip(self) -> tuple:
+        """The panel widths, the secants and the PCHIP node slopes."""
         h = np.diff(self.partition.nodes)
-        return _pchip_slopes(h, self.values, _pchip_weights(h))
+        m = _secants(h, self.values)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return h, m, _pchip_slopes(m, _pchip_weights(h))
 
     def __call__(self, x):
+        _, m, d = self._pchip
         out = FixedPoints(self.partition.nodes, np.asarray(x, dtype=float)).hermite(
-            self.values, self._slopes)
+            self.values, d, m)
         return float(out) if np.ndim(x) == 0 else out
 
     def with_values(self, values) -> "GridFunction":
@@ -357,5 +382,5 @@ def cumulative(g: GridFunction) -> GridFunction:
     F(0) = 0 and F is nondecreasing whenever g >= 0, by the shape
     preservation of the PCHIP.
     """
-    return GridFunction(g.partition, _running_integral(np.diff(g.partition.nodes),
-                                                       g.values, g._slopes))
+    h, _, d = g._pchip
+    return GridFunction(g.partition, _running_integral(h, h * h, g.values, d))

@@ -24,10 +24,16 @@ which also fixes the panel widths, their PCHIP weights and the PCHIP cell
 and offsets s, s^2, s^3 of each of its sample points, and a(t) at the nodes.
 One application then evaluates f at the nodes, integrates the density panel
 by panel and evaluates the PCHIP of F at the sample points without a search,
-with values bit for bit those of ``cumulative`` and ``GridFunction``.  Under
-"last" it keeps the last application, the nodal values and their I^beta
-rows, and hands the rows out again for the same values: the verification of
-a solve's own solution applies the operator no more.
+with values bit for bit those of ``cumulative`` and ``GridFunction``.  It
+runs in one numpy error state, takes F's secants once for both its slopes
+and its cubics, and applies phi_q without checking q again, so that besides
+its matrix-vector product it costs a few passes over the sample points.
+Under "last" it keeps the last application, the nodal values and their
+I^beta rows, and hands the rows out again for the same values: the
+verification of a solve's own solution applies the operator no more.
+
+:func:`picard_solve` keeps its Anderson history in two fixed arrays of
+MEMORY columns, shifted one column per step, so that a step stacks nothing.
 """
 
 import math
@@ -39,7 +45,7 @@ import numpy as np
 from . import exprlang
 from .exprlang import Expr
 from .greens import KernelParams
-from .plaplacian import conjugate, phi
+from .plaplacian import _phi, conjugate
 from .quadrature import (
     FixedPoints,
     GridFunction,
@@ -99,6 +105,11 @@ VALIDATED_MAX = 64
 # mixes.  Over 91 scan instances at 128 panels, memory 2 took 509 iterations
 # in all, memory 3 took 528 and memory 5 took 552.
 MEMORY = 2
+
+# numpy's error state of an operator application, entered once per
+# application: f's evaluation, the running integral F and phi_q(F) check
+# their own results for overflow
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
 class SolverError(RuntimeError):
@@ -224,8 +235,9 @@ class Problem:
         last, rows = kept.get("last", (None, None))
         if last is not None and last.tobytes() == values.tobytes():
             return rows
-        density = _density(self.f, a_nodes, partition.nodes, values)
-        rows = rule._integrals(rule.integrand(self.q, density))
+        with np.errstate(**_QUIET):  # the one error state of an application
+            g = rule._integrand(self.q, _density(self.f, a_nodes, partition.nodes, values))
+        rows = rule._integrals(g)
         rows.setflags(write=False)
         kept["last"] = (np.array(values), rows)
         return rows
@@ -247,11 +259,14 @@ class Problem:
     def density(self, u: GridFunction) -> GridFunction:
         """Sample a(t) f(t, u(t)) at the partition nodes."""
         ts = u.partition.nodes
-        return u.with_values(_density(self.f, exprlang.evaluate(self.a, t=ts), ts, u.values))
+        a_nodes = exprlang.evaluate(self.a, t=ts)
+        with np.errstate(**_QUIET):
+            return u.with_values(_density(self.f, a_nodes, ts, u.values))
 
 
 def _density(f: Expr, a_nodes, ts: np.ndarray, values: np.ndarray) -> np.ndarray:
-    return a_nodes * exprlang.evaluate(f, t=ts, u=np.maximum(values, 0.0))
+    """a f(t, max(u, 0)) at the nodes ts, in the error state _QUIET."""
+    return a_nodes * exprlang._evaluate(f, ts, np.maximum(values, 0.0))
 
 
 @dataclass(frozen=True)
@@ -393,18 +408,21 @@ class KernelAssembly:
         """phi_q(F) at the sample points, where F(s) = int_0^s of the PCHIP
         of the nodal values h: ``apply_to(lambda s: phi(q, F(s)))`` with
         ``F = cumulative(h)``, bit for bit, from the cells and offsets of the
-        points fixed at construction.  An F or a phi_q(F) that overflows,
-        though h is finite, raises :class:`QuadratureError`."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            F = self._at_points.running_integral(h)
-            try:
-                g = phi(q, F)
-            except ValueError:  # phi takes finite arguments only
-                raise QuadratureError(
-                    "the running integral int_0^s a f(tau, u) dtau overflows") from None
+        points fixed at construction.  F's secants are taken once, for both
+        its PCHIP slopes and its cubics, and phi_q is applied without
+        checking q again.  An F or a phi_q(F) that overflows, though h is
+        finite, raises :class:`QuadratureError`."""
+        with np.errstate(**_QUIET):
+            return self._integrand(q, h)
+
+    def _integrand(self, q: float, h: np.ndarray) -> np.ndarray:
+        """:meth:`integrand` in the error state _QUIET, set by the caller."""
+        F = self._at_points.running_integral(h)
+        g = _phi(q, F)  # not finite wherever F is not
         if not np.isfinite(g).all():
-            raise QuadratureError(
-                "phi_q of the running integral int_0^s a f(tau, u) dtau overflows")
+            what = ("phi_q of the running integral" if np.isfinite(F).all()
+                    else "the running integral")
+            raise QuadratureError(f"{what} int_0^s a f(tau, u) dtau overflows")
         return g
 
     def _integrals(self, g) -> np.ndarray:
@@ -416,8 +434,14 @@ class KernelAssembly:
             samples = np.asarray(g(self._points), dtype=float)
         shared = samples[:self._shared]
         tails = samples[self._shared:].reshape(self._tail_w.shape)
-        rows = np.concatenate([b @ shared[:b.shape[1]] for b in self._blocks])
-        return rows + np.sum(self._tail_w * tails, axis=1)
+        rows = np.empty(tails.shape[0])
+        r0 = 0
+        for block in self._blocks:
+            r1 = r0 + block.shape[0]
+            np.matmul(block, shared[:block.shape[1]], out=rows[r0:r1])
+            r0 = r1
+        rows += np.add.reduce(self._tail_w * tails, axis=1)
+        return rows
 
     def apply_to(self, g) -> np.ndarray:
         """Values of int_0^1 K(t_i, s) g(s) ds = C0 - I^alpha g(t_i) at every
@@ -435,9 +459,13 @@ def _at_nodes(rows: np.ndarray) -> np.ndarray:
 
 
 def _kernel_values(rows: np.ndarray) -> np.ndarray:
-    """C0 - I^alpha g at the nodes, from the rows of KernelAssembly._integrals."""
+    """C0 - I^alpha g at the nodes, from the rows of KernelAssembly._integrals:
+    C0 - _at_nodes(rows) written in place, where C0 - 0 is C0."""
     c0 = rows[-3] + rows[-2] - rows[-1]
-    return c0 - _at_nodes(rows)
+    out = np.empty(rows.size - 1)
+    out[0] = c0
+    np.subtract(c0, rows[:-2], out=out[1:])
+    return out
 
 
 def kernel_route(kp: KernelParams, q: float, h: GridFunction,
@@ -475,6 +503,8 @@ def picard_solve(pb: Problem, u0: GridFunction | None = None,
     with beta = damping.  The first step, with no history, is the damped
     Picard step x + beta (A x - x).  Convergence requires both the
     successive sup-norm gap and the residual sup|u - A u| to fall below tol.
+    dX and dF are the last columns of two fixed (N + 1) x MEMORY arrays,
+    newest last, as ``np.column_stack`` of the differences would give them.
     Non-convergence within max_iter returns a report with converged = False
     rather than raising.  So does an A x that is not finite, or an f, or a
     running integral int_0^s a f, that overflows at the iterate (the iterate
@@ -492,14 +522,17 @@ def picard_solve(pb: Problem, u0: GridFunction | None = None,
         """(A v - v, its sup norm), or (None, inf) where f or its running
         integral overflows at v."""
         try:
-            r = _kernel_values(pb._rows(u0.partition, v)) - v
+            r = _kernel_values(pb._rows(u0.partition, v))
         except (exprlang.ExprOverflowError, QuadratureError):
             return None, math.inf
+        r -= v
         return r, float(np.max(np.abs(r)))
 
     x = u0.values
-    dxs: list[np.ndarray] = []
-    dfs: list[np.ndarray] = []
+    # the last `held` columns are the history, oldest first
+    dX = np.zeros((x.size, MEMORY))
+    dF = np.zeros((x.size, MEMORY))
+    held = 0
     diffs: list[float] = []
     converged = False
     iterations = 0
@@ -510,18 +543,21 @@ def picard_solve(pb: Problem, u0: GridFunction | None = None,
         while math.isfinite(residual) and iterations < max_iter:
             iterations += 1
             step = x + damping * f
-            if dxs:
-                dx, df = np.column_stack(dxs), np.column_stack(dfs)
+            if held:
+                dx, df = dX[:, -held:], dF[:, -held:]
                 gamma = np.linalg.lstsq(df, f, rcond=None)[0]
                 step -= (dx + damping * df) @ gamma
             new = np.maximum(step, 0.0)
             f_new, residual = residual_at(new)
             if not math.isfinite(residual):
                 break
-            gap = float(np.max(np.abs(new - x)))
+            dX[:, :-1] = dX[:, 1:]
+            dF[:, :-1] = dF[:, 1:]
+            np.subtract(new, x, out=dX[:, -1])
+            np.subtract(f_new, f, out=dF[:, -1])
+            held = min(held + 1, MEMORY)
+            gap = float(np.max(np.abs(dX[:, -1])))
             diffs.append(gap)
-            dxs = (dxs + [new - x])[-MEMORY:]
-            dfs = (dfs + [f_new - f])[-MEMORY:]
             x, f = new, f_new
             if gap <= tol and residual <= tol:
                 converged = True

@@ -54,12 +54,23 @@ class VerificationReport:
 def fd_weights(x0: float, xs, m: int) -> np.ndarray:
     """Finite-difference weights for the m-th derivative at x0 on nodes xs.
 
-    Fornberg's recurrence; exact for polynomials of degree len(xs) - 1.  It
-    runs on Python floats, which index and multiply faster than numpy
-    scalars, in the same IEEE arithmetic.  The weights are a strided column
-    of the n x (m + 1) table: numpy sums a dot product with a strided vector
-    in another order than with a contiguous one, and the boundary residuals
-    keep that order to the last bit.
+    Fornberg's recurrence; exact for polynomials of degree len(xs) - 1.  The
+    weights are column m of :func:`_fornberg`'s table.
+    """
+    return _fornberg(x0, xs, m)[:, m]
+
+
+def _fornberg(x0: float, xs, m: int) -> np.ndarray:
+    """The n x (m + 1) table of Fornberg's recurrence, whose column s holds
+    the weights of the s-th derivative at x0 on the n nodes xs, for every
+    s <= m.  A column is the same to the last bit whatever m is: the
+    recurrence takes column s from columns s and s - 1 only.
+
+    It runs on Python floats, which index and multiply faster than numpy
+    scalars, in the same IEEE arithmetic.  A column of the table is a strided
+    vector: numpy sums a dot product with a strided vector in another order
+    than with a contiguous one, and the boundary residuals keep that order to
+    the last bit.
     """
     xs = np.asarray(xs, dtype=float).tolist()
     x0 = float(x0)
@@ -86,7 +97,7 @@ def fd_weights(x0: float, xs, m: int) -> np.ndarray:
                 c[j][s] = (c4 * c[j][s] - s * c[j][s - 1]) / c3
             c[j][0] = c4 * c[j][0] / c3
         c1 = c2
-    return np.array(c)[:, m]
+    return np.array(c)
 
 
 def integral_form_residual(pb: Problem, u: GridFunction) -> float:
@@ -119,8 +130,9 @@ def boundary_residuals(pb: Problem, u: GridFunction) -> tuple:
             f"grid too coarse for boundary stencils: {nodes.size} < {MIN_BOUNDARY_NODES}")
     vals = u.values
     with np.errstate(over="ignore", invalid="ignore"):  # checked by _finite
-        d1_0 = float(fd_weights(nodes[0], nodes[:4], 1) @ vals[:4])
-        d2_0 = float(fd_weights(nodes[0], nodes[:4], 2) @ vals[:4])
+        at_0 = _fornberg(nodes[0], nodes[:4], 2)  # u'(0) and u''(0) from one table
+        d1_0 = float(at_0[:, 1] @ vals[:4])
+        d2_0 = float(at_0[:, 2] @ vals[:4])
         d1_1 = float(fd_weights(nodes[-1], nodes[-4:], 1) @ vals[-4:])
         j = int(np.searchsorted(nodes, pb.eta))
         lo = min(max(j - 2, 0), nodes.size - 4)

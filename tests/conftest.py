@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,3 +70,13 @@ def manufactured():
                     f"[discretization]\npanels = {panels}\n")
         return text, exact
     return make
+
+
+@pytest.fixture(scope="session")
+def bench_oracle():
+    """bench/oracle.py: the benchmark's manufactured problems."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return oracle

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import math
 import operator
@@ -200,6 +201,31 @@ expr_trees = st.recursive(_leaf, _nodes, max_leaves=25)
 @given(tree=expr_trees)
 def test_print_parse_round_trip(tree):
     assert parse(to_text(tree)) == tree
+
+
+# each node class as a plain dataclass, whose ==, hash and repr are generated
+_GENERATED = {cls: dataclasses.make_dataclass(
+    cls.__name__, [(f.name, f.type) for f in dataclasses.fields(cls)], frozen=True)
+    for cls in (Num, Var, Const, Neg, Bin, Call)}
+
+
+def _generated(e):
+    """e rebuilt from the plain dataclasses of _GENERATED."""
+    def convert(value):
+        if isinstance(value, tuple):
+            return tuple(map(convert, value))
+        return _generated(value) if isinstance(value, exprlang.Expr) else value
+    return _GENERATED[type(e)](*(convert(getattr(e, f.name)) for f in dataclasses.fields(e)))
+
+
+@given(tree=expr_trees, other=expr_trees)
+def test_equality_and_repr_are_the_generated_ones(tree, other):
+    assert repr(tree) == repr(_generated(tree))
+    assert (tree == other) == (_generated(tree) == _generated(other))
+    assert (tree != other) == (_generated(tree) != _generated(other))
+    for clone in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree), parse(to_text(tree))):
+        assert clone == tree and hash(clone) == hash(tree) and repr(clone) == repr(tree)
+    assert tree != to_text(tree)
 
 
 
@@ -429,10 +455,14 @@ def test_nesting_past_the_limit_is_a_syntax_error(shape):
     n = _deepest(make)
     # the parser spends up to five calls on a level of parentheses or calls
     assert (exprlang.MAX_DEPTH - 5) // 5 <= n <= exprlang.MAX_DEPTH
-    # the deepest accepted expression compiles, evaluates and prints
+    # the deepest accepted expression compiles, evaluates and prints, and it
+    # compares, hashes, pickles and copies
     e = parse(make(n))
     assert evaluate(e, t=0.5, u=0.25) == value(n)
     assert to_text(parse(to_text(e))) == to_text(e) and variables_of(e) == {"u"}
+    for clone in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
+        assert clone == e and hash(clone) == hash(e) and repr(clone) == repr(e)
+        assert "_compiled" not in clone.__dict__
     with pytest.raises(ExprSyntaxError, match=f"nested deeper than {exprlang.MAX_DEPTH} levels"):
         parse(make(n + 1))
     for huge in (3000, 1000):

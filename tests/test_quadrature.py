@@ -11,6 +11,7 @@ from plbvp.quadrature import (
     _leggauss,
     _pchip_slopes,
     _pchip_weights,
+    _secants,
     cumulative,
     graded_edges,
     integrate,
@@ -174,7 +175,8 @@ def test_pchip_slopes_match_the_masked_reference_bit_for_bit():
             y[rng.integers(0, y.size, 1 + y.size // 8)] = 0.0
             y[:int(rng.integers(0, 3))] = 0.0
         want = _pchip_slopes_reference(h, y)
-        got = _pchip_slopes(h, y, _pchip_weights(h))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # as its callers
+            got = _pchip_slopes(_secants(h, y), _pchip_weights(h))
         assert got.tobytes() == want.tobytes()
         branches.update(_end_branch(h, y, at) for at in (0, -1))
     assert branches == {"zero", "turn", "plain"}

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import plbvp
-from plbvp import problemfile, solver
+from plbvp import exprlang, problemfile, solver
 from plbvp.cases import CASES
 from plbvp.exprlang import ExprEvalError, ExprOverflowError, parse
 from plbvp.greens import KernelParams, cone_gamma, phi_envelope
@@ -305,7 +305,7 @@ def test_last_application_is_not_reused_on_another_partition():
 def test_kept_assembly_is_invisible():
     pb = replace(CASES["ex43"].problem)  # a new instance, with nothing kept yet
     fresh, key = pickle.dumps(pb), hash(pb)
-    assert len(fresh) == 534
+    assert len(fresh) == 458
     report = picard_solve(pb)
     # the theorem checks keep int_0^1 a, Lambda_2 and f's box extrema beside the plan
     l1, l2 = lambda1(pb), lambda2(pb, 0.5)
@@ -344,6 +344,13 @@ def _lattice_samples(monkeypatch) -> list:
 
     monkeypatch.setattr(solver.exprlang, "evaluate", counting)
     return samples
+
+
+def test_problem_with_the_deepest_sum_compares_and_copies():
+    pb = _problem(f="+".join(["u"] * exprlang.MAX_DEPTH))
+    clone = copy.deepcopy(pb)
+    assert clone == pb and hash(clone) == hash(pb) and repr(clone) == repr(pb)
+    assert pickle.loads(pickle.dumps(pb)) == pb and clone != replace(pb, p=2.0)
 
 
 def test_checked_coefficients_are_not_sampled_again(monkeypatch):
@@ -504,7 +511,7 @@ def _operator_reference(pb, u):
     F = cumulative(pb.density(u))
 
     def g(s):
-        return phi(pb.q, _hermite_reference(F.partition.nodes, F.values, F._slopes, s))
+        return phi(pb.q, _hermite_reference(F.partition.nodes, F.values, F._pchip[2], s))
 
     return rule, g, rule.apply_to(g)
 
@@ -672,16 +679,17 @@ def test_iterate_that_overflows_f_stops_the_solve():
 def test_running_integral_that_overflows_stops_the_solve(p):
     # f = 1e308 is finite, but int_0^s a f overflows: the solve stops at once,
     # as where f overflows, and an application or a verification names the
-    # running integral, with no numpy warning
-    pb = _problem(a="1", f="1e308", p=p)
-    report = picard_solve(pb)
-    assert not report.converged
-    assert report.residual == math.inf and report.iterations == 0
-    assert np.array_equal(report.solution.values, np.zeros(pb.partition().nodes.size))
-    for check in (apply_operator, integral_form_residual,
-                  lambda pb, u: verification_report(pb, u, 0.5)):
-        with pytest.raises(QuadratureError, match="running integral .* overflows"):
-            check(pb, report.solution)
+    # running integral, with no numpy warning; so where a f itself overflows
+    for a, f in (("1", "1e308"), ("1e300", "1e10")):
+        pb = _problem(a=a, f=f, p=p)
+        report = picard_solve(pb)
+        assert not report.converged
+        assert report.residual == math.inf and report.iterations == 0
+        assert np.array_equal(report.solution.values, np.zeros(pb.partition().nodes.size))
+        for check in (apply_operator, integral_form_residual,
+                      lambda pb, u: verification_report(pb, u, 0.5)):
+            with pytest.raises(QuadratureError, match="running integral .* overflows"):
+                check(pb, report.solution)
 
 
 def test_doubled_resolution_agreement():
@@ -693,3 +701,103 @@ def test_doubled_resolution_agreement():
     diff = np.max(np.abs(s2.solution(pb.partition().nodes) - s1.solution.values))
     assert s1.converged and s2.converged
     assert diff <= 1e-5
+
+
+def _operator_oracle(pb, partition):
+    """v -> (A v - v, its sup norm) by the chain an application took before it
+    shared F's secants and one error state: the density, its running
+    integral F at the nodes as ``cumulative`` summed it, F's PCHIP at the
+    sample points with a cell search, ``phi`` of it, and the rows summed as
+    one list of block products; (None, inf) where f, F or phi_q(F)
+    overflows."""
+    rule = KernelAssembly(pb.kernel_params, partition, pb.discretization.points_per_panel)
+    ts = partition.nodes
+    widths = np.diff(ts)
+    a_nodes = exprlang.evaluate(pb.a, t=ts)
+
+    def integrals(g):
+        shared = g[:rule._shared]
+        tails = g[rule._shared:].reshape(rule._tail_w.shape)
+        rows = np.concatenate([b @ shared[:b.shape[1]] for b in rule._blocks])
+        rows = rows + np.sum(rule._tail_w * tails, axis=1)
+        return (rows[-3] + rows[-2] - rows[-1]) - np.concatenate([[0.0], rows[:-2]])
+
+    def residual_at(v):
+        try:
+            y = a_nodes * exprlang.evaluate(pb.f, t=ts, u=np.maximum(v, 0.0))
+            d = GridFunction(partition, y)._pchip[2]
+            panel = 0.5 * (y[1:] + y[:-1]) * widths
+            panel += widths * widths * (d[:-1] - d[1:]) / 12.0
+            F = GridFunction(partition, np.concatenate([[0.0], np.cumsum(panel)]))
+            g = phi(pb.q, _hermite_reference(ts, F.values, F._pchip[2], rule._points))
+        except ValueError:  # f overflows, or F, or the phi_q(F) it feeds
+            return None, math.inf
+        r = integrals(g) - v
+        return r, float(np.max(np.abs(r)))
+    return residual_at
+
+
+def _anderson_oracle(pb, u0=None, tol=1e-10, max_iter=80, damping=1.0):
+    """picard_solve as written with lists of history columns, stacked at each
+    step, on the operator oracle: (values, iterations, gaps, residual,
+    converged)."""
+    u0 = GridFunction.constant(pb.partition(), 0.0) if u0 is None else u0
+    residual_at = _operator_oracle(pb, u0.partition)
+    x = u0.values
+    dxs, dfs, diffs = [], [], []
+    converged = False
+    iterations = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, residual = residual_at(x)
+        while math.isfinite(residual) and iterations < max_iter:
+            iterations += 1
+            step = x + damping * f
+            if dxs:
+                dx, df = np.column_stack(dxs), np.column_stack(dfs)
+                gamma = np.linalg.lstsq(df, f, rcond=None)[0]
+                step -= (dx + damping * df) @ gamma
+            new = np.maximum(step, 0.0)
+            f_new, residual = residual_at(new)
+            if not math.isfinite(residual):
+                break
+            gap = float(np.max(np.abs(new - x)))
+            diffs.append(gap)
+            dxs = (dxs + [new - x])[-solver.MEMORY:]
+            dfs = (dfs + [f_new - f])[-solver.MEMORY:]
+            x, f = new, f_new
+            if gap <= tol and residual <= tol:
+                converged = True
+                break
+    if not math.isfinite(residual):
+        residual = math.inf
+    return x.tobytes(), iterations, diffs, residual, converged
+
+
+def _oracle_cases(oracle):
+    """(name, problem, picard_solve keywords) of the oracle comparison."""
+    for inst, panels in [(inst, n) for n in (64, 256) for inst in oracle.REFINE]:
+        yield f"refine {inst} at {panels}", inst.problem(panels), {}
+    for inst in oracle.scan_batch(np.random.default_rng(0)):
+        yield f"scan {inst} at 64", inst.problem(64), {}
+    pb = oracle.REFINE[1].problem(64)
+    yield "damping 0.5", pb, {"damping": 0.5}
+    for max_iter in (1, 2):  # the history not yet full
+        yield f"max_iter {max_iter}", pb, {"max_iter": max_iter}
+    t = pb.partition().nodes
+    yield "given u0", pb, {"u0": GridFunction(pb.partition(), 0.3 * (1.0 - t * t))}
+    # the extreme inputs of CI: residual inf, the last finite iterate kept
+    for name, p, f in (("diverging", 1.05, "1 + u"), ("big_f", 1.5, "1e308"),
+                       ("big_phi", 1.5, "1e200")):
+        yield name, _problem(a="3" if name == "diverging" else "1", f=f, p=p), {}
+
+
+def test_solve_matches_the_list_history_oracle_bit_for_bit(bench_oracle):
+    infinite = []
+    for name, pb, kwargs in _oracle_cases(bench_oracle):
+        report = picard_solve(pb, **kwargs)
+        got = (report.solution.values.tobytes(), report.iterations,
+               report.successive_diffs, report.residual, report.converged)
+        assert got == _anderson_oracle(pb, **kwargs), name
+        if report.residual == math.inf:
+            infinite.append(name)
+    assert infinite == ["diverging", "big_f", "big_phi"]
