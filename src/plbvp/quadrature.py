@@ -274,15 +274,17 @@ class FixedPoints:
     It keeps the panel widths, their squares and their PCHIP weights, the
     cell k of each point and the offsets s, s * s and s * s * s of each
     point from x[k].  Points outside [x[0], x[-1]] fall in the end cells,
-    whose cubics extend there.
+    whose cubics extend there.  A caller that knows the cells passes them
+    as cell, the k with x[k] <= xi < x[k + 1] that a search would find.
     """
 
-    def __init__(self, x: np.ndarray, xi: np.ndarray):
+    def __init__(self, x: np.ndarray, xi: np.ndarray, cell: np.ndarray | None = None):
         self.widths = np.diff(x)
         self.squares = self.widths * self.widths
-        self.cell = np.clip(np.searchsorted(x, xi, side="right") - 1, 0,
-                            self.widths.size - 1)
-        s = xi - x[self.cell]
+        if cell is None:
+            cell = np.clip(np.searchsorted(x, xi, side="right") - 1, 0, self.widths.size - 1)
+        self.cell = cell
+        s = xi - x[cell]
         self.offsets = (s, s * s, s * s * s)
 
     @cached_property

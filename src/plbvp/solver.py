@@ -34,6 +34,17 @@ verification of a solve's own solution applies the operator no more.
 
 :func:`picard_solve` keeps its Anderson history in two fixed arrays of
 MEMORY columns, shifted one column per step, so that a step stacks nothing.
+
+A level of a refinement (load, solve, verify) pays for its build's pow
+calls and its applications; the rest is fixed cost that each level pays
+again.  Per pass of the benchmark's refine workload (11 levels, 64 to 512
+panels, one BLAS thread on a shared two-core Xeon), the build's setup, the
+placement of its sample points, its passes besides pow, the Picard
+bookkeeping with lstsq and verify took 0.94, 0.34, 3.29, 2.87 and 1.16 ms
+while every build searched for its points' panels and subtracted by
+broadcasting, and take 0.61, 0.21, 2.57, 2.29 and 1.08 ms, beside 3.9 ms
+of pow.  An application costs 4 to 8 matvecs at 128 panels and 1.6 to 2.1
+at 512, as before (README, numerical notes).
 """
 
 import math
@@ -72,6 +83,7 @@ __all__ = [
 # toward eta.  For g = s^0.2 at 128 to 1024 panels and 6 points, 8 levels
 # leave errors up to 8e-9; 20 reach the 5e-13 floor set by the other cells.
 ORIGIN_LEVELS = 20
+_HALVES = 0.5 ** np.arange(ORIGIN_LEVELS, 0, -1)
 
 # Rows per stored block of KernelAssembly's weights, a multiple of 4 (see
 # there).  Blocks of 16 and 64 rows build and apply as fast at 128 to 1024
@@ -123,6 +135,11 @@ class Discretization:
     points_per_panel is the Gauss points per cell of the fractional-integral
     operator (:class:`KernelAssembly`) and per panel of the theorem checks'
     quadratures.
+
+    The partition, which the range checks build, is kept as ``_partition``
+    and handed out by every :meth:`partition` call: it is immutable.  It is
+    not a field: equality, hashing and repr ignore it, and pickling and
+    copying leave it out.
     """
 
     panels: int = 256
@@ -145,7 +162,13 @@ class Discretization:
                              f"{exc}") from exc
 
     def partition(self) -> Partition:
-        return Partition.graded(self.panels, self.grading)
+        kept = self.__dict__.get("_partition")
+        if kept is None:
+            kept = self.__dict__["_partition"] = Partition.graded(self.panels, self.grading)
+        return kept
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_partition"}
 
 
 @dataclass(frozen=True)
@@ -324,21 +347,21 @@ class KernelAssembly:
     matrix: blocks of BLOCK_ROWS consecutive rows, each with the columns left
     of its last tail cell, laid out one after another in arrays of up to
     STORE_ENTRIES entries.  The build raises only positive distances to
-    beta - 1 and writes the zeros directly.  The rule also places its sample points on the
-    partition once (:class:`plbvp.quadrature.FixedPoints`), so that
-    :meth:`integrand` samples the running integral of a nodal density
-    without a search.  A :class:`Problem` builds one rule per partition and
-    reuses it.
+    beta - 1 and writes the zeros directly.  The rule also places its sample
+    points on the partition once (:class:`plbvp.quadrature.FixedPoints`),
+    taking each point's panel from its cell, so that :meth:`integrand`
+    samples the running integral of a nodal density without a search.  A
+    :class:`Problem` builds one rule per partition and reuses it.
     """
 
     def __init__(self, kp: KernelParams, partition: Partition, points: int = 4):
         m = points
         nodes = partition.nodes
         alpha = kp.alpha
-        halves = 0.5 ** np.arange(ORIGIN_LEVELS, 0, -1)
-        edges = np.concatenate([[0.0], nodes[1] * halves, nodes[1:]])
+        edges = np.concatenate([[0.0], nodes[1] * _HALVES, nodes[1:]])
         k = max(int(np.searchsorted(edges, kp.eta)) - 1, 1)  # last edge below eta
-        edges = np.insert(edges, k, edges[k] - (edges[k] - edges[k - 1]) * halves[::-1])
+        edges = np.concatenate([edges[:k], edges[k] - (edges[k] - edges[k - 1]) * _HALVES[::-1],
+                                edges[k:]])
         x, w = panel_rule(edges, m)
 
         taus = np.concatenate([nodes[1:], [1.0, kp.eta]])
@@ -361,10 +384,15 @@ class KernelAssembly:
         # are summed in the order of one product with the whole matrix, so
         # blocking changes no bit of the result: OpenBLAS takes rows and
         # columns in fours, and numpy multiplies a one-row matrix as a dot
-        # product.
-        spans = [(r0, r0 + BLOCK_ROWS if r0 + BLOCK_ROWS < taus.size - 1 else taus.size)
-                 for r0 in range(0, taus.size - 1, BLOCK_ROWS)]
-        widths = [min(-(-m * int(tail[r0:r1].max()) // 4) * 4, x.size) for r0, r1 in spans]
+        # product.  A block's columns end with its last tail cell, and its
+        # stair, the part zeroed right of a row's tail cell, starts with its
+        # first, the smallest tail's: the last block's taus (t_N, 1, eta)
+        # are not monotone.
+        ends = m * tail  # first column of each row's tail cell
+        starts = np.arange(0, taus.size - 1, BLOCK_ROWS)
+        spans = list(zip(starts.tolist(), starts[1:].tolist() + [taus.size]))
+        widths = np.minimum(-(-np.maximum.reduceat(ends, starts) // 4) * 4, x.size).tolist()
+        firsts = np.minimum.reduceat(ends, starts).tolist()
         sizes = [(r1 - r0) * cols for (r0, r1), cols in zip(spans, widths)]
         # consecutive blocks share an array while they fit in STORE_ENTRIES
         stores = []
@@ -373,36 +401,42 @@ class KernelAssembly:
                 stores.append(0)
             stores[-1] += size
         stores = iter(stores)
+        columns = np.arange(x.size)
         blocks, store, start = [], np.empty(0), 0
-        for (r0, r1), cols, size in zip(spans, widths, sizes):
+        for (r0, r1), cols, size, first in zip(spans, widths, sizes, firsts):
             if start + size > store.size:
                 store, start = np.empty(next(stores)), 0
             block = store[start:start + size].reshape(r1 - r0, cols)
             start += size
-            np.subtract(taus[r0:r1, None], x[None, :cols], out=block)
-            # Left of the block's first tail cell every tau - s is positive.
-            # From there on the distances are taken as |tau - s|, not clipped
-            # at 0: pow is several times slower on 0 than on a positive base,
-            # and gives nan on a negative one.  Those entries are zeroed
-            # below.  The first tail cell is the smallest tail's, since the
-            # last block's taus (t_N, 1, eta) are not monotone.
-            ends = m * tail[r0:r1, None]  # first column of each row's tail cell
-            first = int(ends.min())
+            # tau - s, written as the block's tau column less the s row: the
+            # same bits as one broadcast subtraction, and faster
+            block[...] = taus[r0:r1, None]
+            block -= x[:cols]
+            # Left of the stair every tau - s is positive.  On it the
+            # distances are taken as |tau - s|, not clipped at 0: pow is
+            # several times slower on 0 than on a positive base, and gives
+            # nan on a negative one.  Those entries are zeroed below.
             stair = block[:, first:]
             np.abs(stair, out=stair)
             split = max(min(taus.size - 2, r1) - r0, 0)  # node rows come first
             for part, beta in ((block[:split], alpha), (block[split:], alpha - 1.0)):
-                np.power(part, beta - 1.0, out=part)
-                part *= scaled[beta][:cols]
+                if part.size:
+                    np.power(part, beta - 1.0, out=part)
+                    part *= scaled[beta][:cols]
             # the Gauss-Jacobi rule replaces the shared points of a row's
             # tail cell, and the cells right of it lie above tau
-            stair[np.arange(first, cols) >= ends] = 0.0
+            stair[columns[first:cols] >= ends[r0:r1, None]] = 0.0
             blocks.append(block)
         self._blocks = blocks
         self._shared = x.size
         self._tail_w = tail_w
         self._points = np.concatenate([x, tail_x.ravel()])
-        self._at_points = FixedPoints(nodes, self._points)
+        # Every shared point lies inside its cell and every tail point inside
+        # its target's tail cell, so each point's panel is its cell's: a
+        # search over the cells, not over the points
+        cell_panel = np.searchsorted(nodes, edges[:-1], side="right") - 1
+        self._at_points = FixedPoints(nodes, self._points, np.concatenate(
+            [np.repeat(cell_panel, m), np.repeat(cell_panel[tail], m)]))
 
     def integrand(self, q: float, h: np.ndarray) -> np.ndarray:
         """phi_q(F) at the sample points, where F(s) = int_0^s of the PCHIP
@@ -515,7 +549,7 @@ def picard_solve(pb: Problem, u0: GridFunction | None = None,
     SolverSettings(tol, max_iter, damping)  # range checks
     if u0 is None:
         u0 = GridFunction.constant(pb.partition(), 0.0)
-    if float(np.min(u0.values)) < -SAMPLING_SLACK:
+    if u0.values.min() < -SAMPLING_SLACK:
         raise SolverError("u0 must be nonnegative")
 
     def residual_at(v):
@@ -526,7 +560,7 @@ def picard_solve(pb: Problem, u0: GridFunction | None = None,
         except (exprlang.ExprOverflowError, QuadratureError):
             return None, math.inf
         r -= v
-        return r, float(np.max(np.abs(r)))
+        return r, float(np.abs(r).max())
 
     x = u0.values
     # the last `held` columns are the history, oldest first
@@ -547,7 +581,7 @@ def picard_solve(pb: Problem, u0: GridFunction | None = None,
                 dx, df = dX[:, -held:], dF[:, -held:]
                 gamma = np.linalg.lstsq(df, f, rcond=None)[0]
                 step -= (dx + damping * df) @ gamma
-            new = np.maximum(step, 0.0)
+            new = np.maximum(step, 0.0, out=step)
             f_new, residual = residual_at(new)
             if not math.isfinite(residual):
                 break
@@ -556,7 +590,7 @@ def picard_solve(pb: Problem, u0: GridFunction | None = None,
             np.subtract(new, x, out=dX[:, -1])
             np.subtract(f_new, f, out=dF[:, -1])
             held = min(held + 1, MEMORY)
-            gap = float(np.max(np.abs(dX[:, -1])))
+            gap = float(np.abs(dX[:, -1]).max())
             diffs.append(gap)
             x, f = new, f_new
             if gap <= tol and residual <= tol:

@@ -102,11 +102,11 @@ def _fornberg(x0: float, xs, m: int) -> np.ndarray:
 
 def integral_form_residual(pb: Problem, u: GridFunction) -> float:
     """Sup-norm of r(t) = u(t) - u(0) + I^alpha[phi_q(F)](t) over the nodes."""
-    if float(np.min(u.values)) < -SAMPLING_SLACK:
+    if u.values.min() < -SAMPLING_SLACK:
         raise ValueError("u must be nonnegative")
     ialpha = _at_nodes(pb._rows(u.partition, u.values))
     r = u.values - u.values[0] + ialpha
-    return float(np.max(np.abs(r)))
+    return float(np.abs(r).max())
 
 
 def boundary_residuals(pb: Problem, u: GridFunction) -> tuple:
@@ -161,13 +161,13 @@ def verification_report(pb: Problem, u: GridFunction, rho: float) -> Verificatio
         gam = cone_gamma(pb.kernel_params, rho)
         values = u(np.append(nodes, rho))
         at_nodes = values[:-1]
-        sup = float(np.max(np.abs(at_nodes)))
-        slack = float(np.min(values[np.append(nodes <= rho, True)]) - gam * sup)
+        sup = float(np.abs(at_nodes).max())
+        slack = float(values[np.append(nodes <= rho, True)].min() - gam * sup)
     _finite(u, sup, slack)
     return VerificationReport(
         integral_form_residual=residual,
         bc_residuals=bc,
-        positivity_min=float(np.min(at_nodes)),
+        positivity_min=float(at_nodes.min()),
         cone_slack=slack,
         sup_norm=sup,
     )

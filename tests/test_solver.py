@@ -16,6 +16,7 @@ from plbvp.exprlang import ExprEvalError, ExprOverflowError, parse
 from plbvp.greens import KernelParams, cone_gamma, phi_envelope
 from plbvp.plaplacian import phi
 from plbvp.quadrature import (
+    FixedPoints,
     GridFunction,
     Partition,
     QuadratureError,
@@ -236,6 +237,22 @@ def test_blocks_match_the_per_block_construction_bit_for_bit(panels, m, limit, m
             assert len(arrays) == 1 or limit < STORE_ENTRIES
 
 
+@pytest.mark.parametrize("panels", [4, 64, 95, 128, 257])
+@pytest.mark.parametrize("m", [2, 4, 6])
+def test_points_placed_from_their_cells_match_the_search_bit_for_bit(panels, m):
+    # the rule takes each sample point's panel from its cell, without the
+    # search of FixedPoints; the grid of the block test above
+    part = Partition.graded(panels, 2.0)
+    for alpha in (2.0 + 1e-9, 2.05, 2.5, 3.0):
+        for eta in (1e-9, 0.3, float(part.nodes[panels // 2]), 1.0 - 1e-9):
+            rule = KernelAssembly(KernelParams(alpha, eta), part, m)
+            placed, searched = rule._at_points, FixedPoints(part.nodes, rule._points)
+            assert placed.cell.dtype == searched.cell.dtype
+            assert placed.cell.tobytes() == searched.cell.tobytes()
+            assert all(a.tobytes() == b.tobytes()
+                       for a, b in zip(placed.offsets, searched.offsets))
+
+
 @pytest.mark.parametrize("panels", [4, 5, 31, 33, 64, 257])
 @pytest.mark.parametrize("alpha", [2.02, 2.5, 3.0])
 def test_blocked_rule_matches_dense_rule(panels, alpha):
@@ -329,6 +346,29 @@ def test_kept_assembly_is_invisible():
     del pb, report, coarse
     gc.collect()
     assert ref() is None
+
+
+def test_kept_partition_is_one_object_and_invisible():
+    pb = replace(CASES["ex43"].problem)
+    disc = pb.discretization
+    part = pb.partition()
+    assert pb.partition() is part and disc.partition() is part
+    assert picard_solve(pb).solution.partition is part
+    # a copy starts without the partition and builds an equal one on demand;
+    # keeping it changes no pickle, equality, hash or repr
+    bare = copy.copy(disc)
+    assert "_partition" not in bare.__dict__
+    key, fresh = hash(bare), pickle.dumps(bare)
+    assert bare.partition().nodes.tobytes() == part.nodes.tobytes()
+    assert "_partition" in bare.__dict__
+    for kept in (bare, disc):
+        assert pickle.dumps(kept) == fresh and hash(kept) == key
+        assert kept == replace(kept) and repr(kept) == repr(replace(kept))
+    for clone in (pickle.loads(fresh), copy.deepcopy(disc), replace(disc)):
+        assert clone == disc and hash(clone) == key
+        assert clone.partition() is not part
+    assert replace(disc, panels=64).partition().nodes.size == 65
+    assert len(pickle.dumps(pb)) == 458
 
 
 def _lattice_samples(monkeypatch) -> list:

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from functools import partial
@@ -1001,3 +1002,57 @@ def test_scaling_a_up_and_f_down_moves_no_solution():
             gap = np.max(np.abs(report.solution.values - reference.solution.values))
             worst = max(worst, float(gap / np.max(np.abs(reference.solution.values))))
     assert worst <= 1e-13
+
+
+# --- relation R2: u -> lam u, f -> lam^(p-1) f(t, u / lam) -------------------
+
+_STRETCHES = (3.0, 1e-2)
+
+
+def _stretched(pb, lam):
+    """pb with f(t, u) -> lam^(p-1) f(t, u / lam), whose solutions are lam
+    times those of pb; lam = 1 changes no value."""
+    f = re.sub(r"\bu\b", f"(u/{lam!r})", to_text(pb.f))
+    return replace(pb, f=parse(f"{lam ** (pb.p - 1.0)!r}*({f})"))
+
+
+def _check_stretched(config, flags, lam):
+    """plbvp check's report on config with f stretched by lam, and with nu and
+    the rho's -> lam of themselves, mu and k_env -> lam^(p-1) and k and L ->
+    lam^(p-2) of themselves."""
+    p = config.problem.p
+    powers = {"rho1": 1.0, "rho2": 1.0, "nu": 1.0, "mu": p - 1.0, "k": p - 2.0, "L": p - 2.0}
+    flags = {name: value * lam ** powers[name] if name in powers else value
+             for name, value in flags.items()}
+    if "k_env" in flags:
+        flags["k_env"] = f"({flags['k_env']})*{lam ** (p - 1.0)!r}"
+    return _run_check(replace(config, problem=_stretched(config.problem, lam)), **flags)
+
+
+def test_stretching_u_moves_no_verdict():
+    calls = list(_r1_calls())
+    assert {name for _, flags in calls for name in flags} <= {
+        "theorem", "rho1", "rho2", "nu", "mu", "sigma", "k", "k_env", "L"}
+    moved = []
+    for call in calls:
+        verdicts = [c.holds for c in _check_stretched(*call, 1.0).checks]
+        moved += [(call[1], lam) for lam in _STRETCHES
+                  if [check.holds for check in _check_stretched(*call, lam).checks] != verdicts]
+    assert moved == []
+
+
+def test_stretching_u_stretches_the_solution():
+    # the refine and seed-0 scan instances at 64 panels
+    oracle = _bench_oracle()
+    worst = 0.0
+    for inst in list(oracle.REFINE) + oracle.scan_batch(np.random.default_rng(0)):
+        pb = inst.problem(64)
+        reference = picard_solve(_stretched(pb, 1.0))
+        assert reference.converged
+        for lam in _STRETCHES:
+            report = picard_solve(_stretched(pb, lam))
+            assert report.converged
+            want = lam * reference.solution.values
+            gap = np.max(np.abs(report.solution.values - want))
+            worst = max(worst, float(gap / np.max(np.abs(want))))
+    assert worst <= 1e-10
