@@ -10,8 +10,12 @@ text.  The grammar is conventional infix arithmetic:
 
 '^' is right-associative, and a leading minus applies to the whole power:
 -x^2 parses as -(x^2).  The only variables are t and u; pi and e are
-built-in constants, and e^t is written exp(t).  Nesting deeper than
-MAX_DEPTH levels is a syntax error.
+built-in constants, and e^t is written exp(t).  A number must be finite as
+a double, and nesting deeper than MAX_DEPTH levels is a syntax error.
+
+An expression is one tape: its nodes as rows in postorder (see
+:class:`Expr`).  The parser emits the rows, and comparing, printing,
+compiling and the rest read them in order, on a stack of their own.
 
 Evaluation is array-aware (scalars or numpy arrays for t and u) and total
 on valid domains: log of a nonpositive value, square root of a negative,
@@ -22,15 +26,13 @@ one of its points is invalid on its own.
 
 An expression is compiled once, on its first evaluation, into one closure
 per node; the closures live on the expression object and die with it.
-Later evaluations skip the walk over the tree.  Compiling changes no
-result: each closure applies the same numpy operation to the same operands
-as the tree walk did.
+Compiling changes no result: each closure applies the same numpy operation
+to the same operands as a walk of the tree would.
 """
 
 import math
 import operator
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,8 +53,8 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 DEFAULT_VARIABLES = ("t", "u")
 
 # The deepest nesting parse accepts, in its own calls and in the height of
-# the tree it builds.  Compiling, evaluating, printing and variables_of take
-# a stack frame per level, so 900 leaves a caller 100 of Python's default 1000.
+# the tree it emits.  Evaluating takes a stack frame per level, so 900
+# leaves a caller 100 of Python's default 1000.
 MAX_DEPTH = 900
 
 
@@ -74,11 +76,8 @@ class ExprEvalError(ExprError):
     def __init__(self, message: str, subexpr: "Expr", sample: dict | None = None):
         self.subexpr = subexpr
         self.sample = dict(sample) if sample else {}
-        where = f" in '{to_text(subexpr)}'"
-        at = ""
-        if self.sample:
-            at = " at " + ", ".join(f"{k}={v!r}" for k, v in sorted(self.sample.items()))
-        super().__init__(message + where + at)
+        at = ", ".join(f"{k}={v!r}" for k, v in sorted(self.sample.items()))
+        super().__init__(f"{message} in '{to_text(subexpr)}'" + (f" at {at}" if at else ""))
 
 
 class ExprOverflowError(ExprEvalError):
@@ -86,121 +85,77 @@ class ExprOverflowError(ExprEvalError):
 
 
 class Expr:
-    """Base class of parsed expression nodes.
+    """A parsed expression, immutable: its nodes as ``rows``, one row
+    (kind, label, child count) per node, every child before its parent and
+    left before right.
 
-    Equality, hashing, repr, pickling and copying walk the tree on a list of
-    their own, not on the interpreter's stack, so they take a tree of any
-    height: equality and repr are those a dataclass would generate.
+    The rows are ("Num", value, 0), ("Var", name, 0), ("Const", name, 0),
+    ("Neg", None, 1), ("Bin", op, 2) and ("Call", fn, arity).  They
+    determine the tree, so equality and hashing compare them, and repr
+    writes the tree as dataclasses of those names and fields would.
 
     :func:`evaluate` keeps the compiled form of the expression it evaluates
-    on the node, as ``_compiled``.  It is not a field: equality, hashing and
-    repr ignore it, and pickling and copying leave it out.
+    as ``_compiled``.  Equality, hashing and repr ignore it, and pickling
+    and copying leave it out.
     """
 
-    __slots__ = ()
+    __slots__ = ("rows", "_compiled", "__weakref__")
+
+    def __init__(self, rows: tuple):
+        object.__setattr__(self, "rows", rows)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set {name!r}: an Expr is immutable")
+
+    __delattr__ = __setattr__
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._flat() == other._flat()
+        return self.rows == other.rows
 
     def __hash__(self):
-        return hash(self._flat())
+        return hash(self.rows)
 
     def __repr__(self):
-        return _fold(self._flat(), _node_repr)
+        return _fold(self.rows, _node_repr)
 
-    def __reduce__(self):  # pickling and copying rebuild the tree from its rows
-        return _rebuild, (self._flat(),)
-
-    def _flat(self) -> tuple:
-        """The tree as rows (class, fields that are not nodes, child count),
-        every child before its parent and left before right: the rows
-        determine the tree, and compare as its fields would."""
-        rows, stack = [], [self]
-        while stack:
-            node = stack.pop()
-            fields, children = _parts(node)
-            rows.append((node.__class__, fields, len(children)))
-            stack.extend(children)
-        return tuple(reversed(rows))
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Num(Expr):
-    value: float
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Var(Expr):
-    name: str
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Const(Expr):
-    name: str
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Neg(Expr):
-    operand: Expr
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Bin(Expr):
-    op: str
-    lhs: Expr
-    rhs: Expr
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Call(Expr):
-    fn: str
-    args: tuple
-
-
-def _parts(e: Expr) -> tuple:
-    """(the node's fields that are not nodes, its child nodes)."""
-    if isinstance(e, Bin):
-        return (e.op,), (e.lhs, e.rhs)
-    if isinstance(e, Neg):
-        return (), (e.operand,)
-    if isinstance(e, Call):
-        return (e.fn,), e.args
-    if isinstance(e, Num):
-        return (e.value,), ()
-    return (e.name,), ()
+    def __reduce__(self):  # the rows alone: the compiled form stays out
+        return Expr, (self.rows,)
 
 
 def _fold(rows: tuple, join):
-    """The value at the root of join(class, fields, child values), taken
-    over the rows of Expr._flat, children first."""
+    """The value at the root of join(kind, label, child values), taken over
+    the rows, children first."""
     stack = []
-    for cls, fields, count in rows:
+    for kind, label, count in rows:
         children = stack[len(stack) - count:]
         del stack[len(stack) - count:]
-        stack.append(join(cls, fields, children))
+        stack.append(join(kind, label, children))
     return stack[0]
 
 
-def _node(cls, fields: tuple, children: list) -> Expr:
-    return cls(*fields, tuple(children)) if cls is Call else cls(*fields, *children)
+# Each kind's fields, as the dataclass of its name would list them.
+_FIELDS = {"Num": ("value",), "Var": ("name",), "Const": ("name",), "Neg": ("operand",),
+           "Bin": ("op", "lhs", "rhs"), "Call": ("fn", "args")}
 
 
-def _rebuild(rows: tuple) -> Expr:
-    """The tree of the rows of Expr._flat."""
-    return _fold(rows, _node)
-
-
-def _node_repr(cls, fields: tuple, children: list) -> str:
+def _node_repr(kind: str, label, children: list) -> str:
     """A node's repr as its dataclass would write it, from its children's."""
-    values = [repr(value) for value in fields]
-    if cls is Call:  # its arguments are a tuple
-        values.append(f"({', '.join(children)}{',' * (len(children) == 1)})")
-    else:
-        values += children
-    pairs = ", ".join(f"{name}={value}" for name, value in zip(cls.__dataclass_fields__, values))
-    return f"{cls.__qualname__}({pairs})"
+    if kind == "Call":  # its arguments are a tuple
+        children = [f"({', '.join(children)}{',' * (len(children) == 1)})"]
+    values = children if kind == "Neg" else [repr(label), *children]
+    pairs = ", ".join(f"{name}={value}" for name, value in zip(_FIELDS[kind], values))
+    return f"{kind}({pairs})"
+
+
+def _subexpr(rows: tuple, end: int) -> Expr:
+    """The expression whose root is rows[end]: its subtree's rows end there."""
+    start, pending = end + 1, 1
+    while pending:
+        start -= 1
+        pending += rows[start][2] - 1
+    return Expr(rows[start:end + 1])
 
 
 _TOKEN_RE = re.compile(
@@ -221,10 +176,8 @@ def _tokenize(text: str):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group(), pos))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group(), pos))
+        if m.lastgroup in ("num", "ident"):
+            tokens.append((m.lastgroup, m.group(), pos))
         elif m.lastgroup == "op":
             tokens.append((m.group(), m.group(), pos))
         pos = m.end()
@@ -240,13 +193,16 @@ def _level(level: int, offset: int) -> int:
 
 
 class _Parser:
-    """Recursive descent.  Each method takes its depth in the parser's calls
-    and returns its node with the node's height: MAX_DEPTH bounds both."""
+    """Recursive descent that emits each node's row once its children's
+    rows are in, which is postorder.  Each method takes its depth in the
+    parser's calls and returns the height of the node it emitted: MAX_DEPTH
+    bounds both."""
 
     def __init__(self, tokens, variables):
         self.tokens = tokens
         self.pos = 0
         self.variables = tuple(variables)
+        self.rows = []
 
     @property
     def current(self):
@@ -264,103 +220,98 @@ class _Parser:
                                   tok[2])
         return self.advance()
 
-    def parse_expr(self, depth: int) -> tuple:
-        node, height = self.parse_term(depth + 1)
+    def emit(self, kind: str, label, count: int, height: int, offset: int) -> int:
+        """Append a node's row; its height, if that is at most MAX_DEPTH."""
+        self.rows.append((kind, label, count))
+        return _level(height, offset)
+
+    def parse_expr(self, depth: int) -> int:
+        height = self.parse_term(depth + 1)
         while self.current[0] in ("+", "-"):
             op, _, offset = self.advance()
-            rhs, rhs_height = self.parse_term(depth + 1)
-            node, height = Bin(op, node, rhs), _level(1 + max(height, rhs_height), offset)
-        return node, height
+            rhs = self.parse_term(depth + 1)
+            height = self.emit("Bin", op, 2, 1 + max(height, rhs), offset)
+        return height
 
-    def parse_term(self, depth: int) -> tuple:
-        node, height = self.parse_factor(depth + 1)
+    def parse_term(self, depth: int) -> int:
+        height = self.parse_factor(depth + 1)
         while self.current[0] in ("*", "/"):
             op, _, offset = self.advance()
-            rhs, rhs_height = self.parse_factor(depth + 1)
-            node, height = Bin(op, node, rhs), _level(1 + max(height, rhs_height), offset)
-        return node, height
+            rhs = self.parse_factor(depth + 1)
+            height = self.emit("Bin", op, 2, 1 + max(height, rhs), offset)
+        return height
 
-    def parse_factor(self, depth: int) -> tuple:
+    def parse_factor(self, depth: int) -> int:
         offset = self.current[2]
         _level(depth, offset)  # every recursion of the parser passes through here
         if self.current[0] == "-":
             self.advance()
-            node, height = self.parse_factor(depth + 1)
-            return Neg(node), _level(1 + height, offset)
-        node, height = self.parse_base(depth + 1)
+            return self.emit("Neg", None, 1, 1 + self.parse_factor(depth + 1), offset)
+        height = self.parse_base(depth + 1)
         if self.current[0] == "^":
             offset = self.advance()[2]
-            rhs, rhs_height = self.parse_factor(depth + 1)
-            node, height = Bin("^", node, rhs), _level(1 + max(height, rhs_height), offset)
-        return node, height
+            rhs = self.parse_factor(depth + 1)
+            height = self.emit("Bin", "^", 2, 1 + max(height, rhs), offset)
+        return height
 
-    def parse_base(self, depth: int) -> tuple:
+    def parse_base(self, depth: int) -> int:
         kind, text, offset = self.current
         if kind == "num":
             self.advance()
-            return Num(float(text)), 1
+            value = float(text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"number {text!r} is out of range", offset)
+            return self.emit("Num", value, 0, 1, offset)
         if kind == "ident":
             self.advance()
             if self.current[0] == "(":
                 return self.parse_call(text, offset, depth + 1)
             if text in CONSTANTS:
-                return Const(text), 1
+                return self.emit("Const", text, 0, 1, offset)
             if text in self.variables:
-                return Var(text), 1
-            if text in _CALLS:
+                return self.emit("Var", text, 0, 1, offset)
+            if text in _ARITY:
                 raise ExprSyntaxError(f"function {text!r} needs arguments", offset)
             raise ExprSyntaxError(f"unknown identifier {text!r}", offset)
         if kind == "(":
             self.advance()
-            node = self.parse_expr(depth + 1)
+            height = self.parse_expr(depth + 1)
             self.expect(")")
-            return node
+            return height
         raise ExprSyntaxError(f"expected a value, found {text or 'end of input'!r}",
                               offset)
 
-    def parse_call(self, name: str, offset: int, depth: int) -> tuple:
-        if name not in _CALLS:
+    def parse_call(self, name: str, offset: int, depth: int) -> int:
+        if name not in _ARITY:
             raise ExprSyntaxError(f"unknown function {name!r}", offset)
         self.expect("(")
-        args = [self.parse_expr(depth + 1)]
+        heights = [self.parse_expr(depth + 1)]
         while self.current[0] == ",":
             self.advance()
-            args.append(self.parse_expr(depth + 1))
+            heights.append(self.parse_expr(depth + 1))
         self.expect(")")
-        arity = _CALLS[name][0]
-        if len(args) != arity:
+        arity = _ARITY[name]
+        if len(heights) != arity:
             raise ExprSyntaxError(
-                f"{name} takes {arity} argument{'s' if arity > 1 else ''}, got {len(args)}",
+                f"{name} takes {arity} argument{'s' if arity > 1 else ''}, got {len(heights)}",
                 offset,
             )
-        nodes, heights = zip(*args)
-        return Call(name, nodes), _level(1 + max(heights), offset)
+        return self.emit("Call", name, arity, 1 + max(heights), offset)
 
 
 def parse(text: str, variables=DEFAULT_VARIABLES) -> Expr:
     """Parse source text into an Expr, permitting only the given variables."""
     parser = _Parser(_tokenize(text), variables)
-    node, _ = parser.parse_expr(1)
+    parser.parse_expr(1)
     kind, tok_text, offset = parser.current
     if kind != "eof":
         raise ExprSyntaxError(f"unexpected trailing input {tok_text!r}", offset)
-    return node
+    return Expr(tuple(parser.rows))
 
 
 def variables_of(e: Expr) -> frozenset:
     """Names of the variables referenced anywhere in the expression."""
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Neg):
-        return variables_of(e.operand)
-    if isinstance(e, Bin):
-        return variables_of(e.lhs) | variables_of(e.rhs)
-    if isinstance(e, Call):
-        out = frozenset()
-        for a in e.args:
-            out |= variables_of(a)
-        return out
-    return frozenset()
+    return frozenset(label for kind, label, _ in e.rows if kind == "Var")
 
 
 def _witness(env: dict, mask: np.ndarray) -> dict:
@@ -384,43 +335,49 @@ def _witness(env: dict, mask: np.ndarray) -> dict:
     return out
 
 
-def _check_domain(ok, message: str, node: Expr, t, u):
+def _check_domain(ok, message: str, node: tuple, t, u):
+    """Raise ExprEvalError at node, (rows, index of its row), where ok fails."""
     if not ok.all():
-        raise ExprEvalError(message, node, _witness({"t": t, "u": u}, ~np.asarray(ok)))
+        raise ExprEvalError(message, _subexpr(*node),
+                            _witness({"t": t, "u": u}, ~np.asarray(ok)))
 
 
 def _compile(e: Expr):
     """Compile e into one closure per node: fn(t, u) evaluates e.
 
-    Each closure applies the same numpy operation to its children's values,
-    in the same order, as a walk of the tree would, so results are
-    bit-identical and the first domain error is the same.  Compiling, like
-    evaluating, takes one stack frame per level of the tree.
+    One pass over the rows keeps the children's closures on a stack.  An
+    operator's maker in _BUILD takes them and the node, (rows, index of its
+    row), whose subexpression an error builds only when it is raised.  Each
+    closure applies the same numpy operation to its children's values, in
+    the same order, as a walk of the tree would, so results are
+    bit-identical and the first domain error is the same.
     """
-    if isinstance(e, Num):
-        value = e.value
-        return lambda t, u: value
-    if isinstance(e, Const):
-        value = CONSTANTS[e.name]
-        return lambda t, u: value
-    if isinstance(e, Var):
-        # a dict lookup, unlike ==, costs no recursion count at the leaves
-        position = {"t": 0, "u": 1}.get(e.name)
+    rows, stack = e.rows, []
+    for i, (kind, label, count) in enumerate(rows):
+        if count:
+            children = stack[-count:]
+            del stack[-count:]
+            stack.append(_BUILD[label]((rows, i), *children))
+        elif kind == "Var":
+            stack.append(_variable(label, (rows, i)))
+        else:
+            stack.append(_constant(CONSTANTS[label] if kind == "Const" else label))
+    return stack[0]
 
-        def var(t, u):
-            value = None if position is None else (t, u)[position]
-            if value is None:
-                raise ExprEvalError(f"no value supplied for variable {e.name!r}", e)
-            return value
-        return var
-    if isinstance(e, Neg):
-        operand = _compile(e.operand)
-        return lambda t, u: -operand(t, u)
-    if isinstance(e, Bin):
-        return _BINARY[e.op](e, _compile(e.lhs), _compile(e.rhs))
-    if isinstance(e, Call):
-        return _CALLS[e.fn][1](e, *map(_compile, e.args))
-    raise TypeError(f"not an expression node: {e!r}")
+
+def _constant(value):
+    return lambda t, u: value
+
+
+def _variable(name: str, node: tuple):
+    position = {"t": 0, "u": 1}.get(name)
+
+    def var(t, u):
+        value = None if position is None else (t, u)[position]
+        if value is None:
+            raise ExprEvalError(f"no value supplied for variable {name!r}", _subexpr(*node))
+        return value
+    return var
 
 
 def _elementwise(op):
@@ -505,26 +462,27 @@ def _constant_value(fn):
         return None
 
 
-_BINARY = {
+# The maker of each operator's closure, by the label of its row.
+_BUILD = {
+    None: _elementwise(operator.neg),
     "+": _elementwise(operator.add),
     "-": _elementwise(operator.sub),
     "*": _elementwise(operator.mul),
     "/": _division,
     "^": _power,
+    "sin": _elementwise(np.sin),
+    "cos": _elementwise(np.cos),
+    "exp": _elementwise(np.exp),
+    "abs": _elementwise(np.abs),
+    "ln": _checked(np.log, lambda x: x > 0.0, "log of a nonpositive value"),
+    "sqrt": _checked(np.sqrt, lambda x: x >= 0.0, "square root of a negative value"),
+    "pow": _power,
+    "min": _elementwise(np.minimum),
+    "max": _elementwise(np.maximum),
 }
 
-# Each function's arity, which the parser checks, and the maker of its closure.
-_CALLS = {
-    "sin": (1, _elementwise(np.sin)),
-    "cos": (1, _elementwise(np.cos)),
-    "exp": (1, _elementwise(np.exp)),
-    "abs": (1, _elementwise(np.abs)),
-    "ln": (1, _checked(np.log, lambda x: x > 0.0, "log of a nonpositive value")),
-    "sqrt": (1, _checked(np.sqrt, lambda x: x >= 0.0, "square root of a negative value")),
-    "pow": (2, _power),
-    "min": (2, _elementwise(np.minimum)),
-    "max": (2, _elementwise(np.maximum)),
-}
+# Each function's arity, which the parser checks.
+_ARITY = {"sin": 1, "cos": 1, "exp": 1, "abs": 1, "ln": 1, "sqrt": 1, "pow": 2, "min": 2, "max": 2}
 
 
 def evaluate(e: Expr, t=None, u=None):
@@ -533,8 +491,8 @@ def evaluate(e: Expr, t=None, u=None):
     Scalar inputs give a float, others an array of their broadcast shape.
 
     The first evaluation compiles e (see :func:`_compile`) and keeps the
-    compiled form on e itself, so later evaluations skip the tree walk and
-    the form is freed with e.
+    compiled form on e itself, so later evaluations skip compiling and the
+    form is freed with e.
     """
     # domain checks preempt divide/invalid; overflow to inf is converted to
     # an ExprOverflowError below, so keep numpy quiet in between
@@ -561,42 +519,32 @@ def _evaluate(e: Expr, t, u):
 
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _prec(e: Expr) -> int:
-    if isinstance(e, Bin):
-        if e.op in ("+", "-"):
-            return _PREC_ADD
-        if e.op in ("*", "/"):
-            return _PREC_MUL
-        return _PREC_POW
-    if isinstance(e, Neg):
-        return _PREC_NEG
-    return _PREC_ATOM
+_PREC = {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL, "^": _PREC_POW}
 
 
 def _wrap(text: str, needs: bool) -> str:
     return f"({text})" if needs else text
 
 
+def _node_text(kind: str, label, children: list) -> tuple:
+    """A node's canonical text and precedence, from its children's."""
+    if kind == "Neg":
+        (text, prec), = children
+        return "-" + _wrap(text, prec < _PREC_NEG), _PREC_NEG
+    if kind == "Call":
+        return f"{label}({', '.join(text for text, _ in children)})", _PREC_ATOM
+    if kind == "Bin":
+        p = _PREC[label]
+        (lhs, lhs_prec), (rhs, rhs_prec) = children
+        if label == "^":
+            # right-associative: the left operand must bind strictly tighter
+            lhs, rhs = _wrap(lhs, lhs_prec <= p), _wrap(rhs, rhs_prec < p)
+        else:
+            lhs, rhs = _wrap(lhs, lhs_prec < p), _wrap(rhs, rhs_prec <= p)
+        return (f"{lhs} {label} {rhs}" if p == _PREC_ADD else f"{lhs}{label}{rhs}"), p
+    return (repr(label) if kind == "Num" else label), _PREC_ATOM
+
+
 def to_text(e: Expr) -> str:
     """Canonical source text; reparsing it yields a structurally equal Expr."""
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, (Var, Const)):
-        return e.name
-    if isinstance(e, Neg):
-        return "-" + _wrap(to_text(e.operand), _prec(e.operand) < _PREC_NEG)
-    if isinstance(e, Call):
-        return f"{e.fn}({', '.join(map(to_text, e.args))})"
-    if isinstance(e, Bin):
-        p = _prec(e)
-        if e.op == "^":
-            # right-associative: the left operand must bind strictly tighter
-            lhs = _wrap(to_text(e.lhs), _prec(e.lhs) <= p)
-            rhs = _wrap(to_text(e.rhs), _prec(e.rhs) < p)
-        else:
-            lhs = _wrap(to_text(e.lhs), _prec(e.lhs) < p)
-            rhs = _wrap(to_text(e.rhs), _prec(e.rhs) <= p)
-        return f"{lhs} {e.op} {rhs}" if e.op in ("+", "-") else f"{lhs}{e.op}{rhs}"
-    raise TypeError(f"not an expression node: {e!r}")
+    return _fold(e.rows, _node_text)[0]

@@ -107,9 +107,10 @@ LATTICE = 201
 WIDE_U_MAX = 100.0
 SAMPLING_SLACK = 1e-12
 
-# Texts (a, f) of the coefficient pairs that passed Problem's lattice check,
-# oldest first, and how many are remembered.  Texts, not expressions: an
-# expression, and the compiled form it keeps, dies with its problem.
+# Rows (a.rows, f.rows) of the coefficient pairs that passed Problem's
+# lattice check, oldest first, and how many are remembered.  Rows, not
+# expressions: an expression, and the compiled form it keeps, dies with its
+# problem.
 _VALIDATED: dict = {}
 VALIDATED_MAX = 64
 
@@ -179,8 +180,8 @@ class Problem:
     boundary point, p > 1 the p-Laplacian exponent; a references only t and
     f references t and u.  Nonnegativity of a and f is enforced by sampling
     over the lattice (t in [0, 1], u in [0, WIDE_U_MAX]), once per pair of
-    coefficients: a pair that passed is remembered by its texts (see
-    ``_VALIDATED``), so a problem reloaded or copied with other settings
+    coefficients: a pair that passed is remembered by its expressions' rows
+    (see ``_VALIDATED``), so a problem reloaded or copied with other settings
     samples neither again.
 
     A problem keeps what its computations share, as ``_kept``: the operator
@@ -208,8 +209,8 @@ class Problem:
         extra = exprlang.variables_of(self.f) - {"t", "u"}
         if extra:
             raise ValueError(f"f(t, u) may reference only t and u, found {sorted(extra)}")
-        texts = (exprlang.to_text(self.a), exprlang.to_text(self.f))
-        if texts in _VALIDATED:
+        key = (self.a.rows, self.f.rows)
+        if key in _VALIDATED:
             return
         ts = np.linspace(0.0, 1.0, LATTICE)
         avals = exprlang.evaluate(self.a, t=ts)
@@ -222,7 +223,7 @@ class Problem:
             i, j = np.unravel_index(int(np.argmin(fvals)), fvals.shape)
             raise ValueError(
                 f"f(t, u) is negative: f({ts[i]}, {us[j]}) = {fvals[i, j]}")
-        _VALIDATED[texts] = None
+        _VALIDATED[key] = None
         if len(_VALIDATED) > VALIDATED_MAX:
             del _VALIDATED[next(iter(_VALIDATED))]
         if 1.0 < self.p < 2.0:  # theorem 3.5 samples f on the same lattice

@@ -4,6 +4,7 @@ import gc
 import math
 import operator
 import pickle
+import sys
 import weakref
 
 import numpy as np
@@ -12,20 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from plbvp import exprlang
-from plbvp.exprlang import (
-    Bin,
-    Call,
-    Const,
-    ExprEvalError,
-    ExprSyntaxError,
-    Neg,
-    Num,
-    Var,
-    evaluate,
-    parse,
-    to_text,
-    variables_of,
-)
+from plbvp.exprlang import ExprEvalError, ExprSyntaxError, evaluate, parse, to_text, variables_of
 
 
 def test_parse_paper_expressions():
@@ -77,6 +65,18 @@ def test_unexpected_character():
     with pytest.raises(ExprSyntaxError) as err:
         parse("1 @ 2")
     assert err.value.offset == 2
+
+
+@pytest.mark.parametrize("text, offset", [("1e400", 0), ("1 + 1/1e400", 6),
+                                          ("min(1e400, 1 + u)", 4),
+                                          ("1.7976931348623159e308*u", 0)])
+def test_number_out_of_range(text, offset):
+    # a literal that rounds to inf would print as 'inf', which does not parse
+    with pytest.raises(ExprSyntaxError, match="out of range") as err:
+        parse(text)
+    assert err.value.offset == offset
+    largest = parse("1.7976931348623157e308")
+    assert parse(to_text(largest)) == largest
 
 
 def test_eval_constants():
@@ -176,8 +176,43 @@ def test_round_trip_sample_strings():
         assert parse(to_text(tree)) == tree
 
 
+# the node kinds of exprlang.Expr as plain dataclasses, whose ==, hash and
+# repr are generated
+Num = dataclasses.make_dataclass("Num", [("value", float)], frozen=True)
+Var = dataclasses.make_dataclass("Var", [("name", str)], frozen=True)
+Const = dataclasses.make_dataclass("Const", [("name", str)], frozen=True)
+Neg = dataclasses.make_dataclass("Neg", [("operand", object)], frozen=True)
+Bin = dataclasses.make_dataclass("Bin", [("op", str), ("lhs", object), ("rhs", object)],
+                                 frozen=True)
+Call = dataclasses.make_dataclass("Call", [("fn", str), ("args", tuple)], frozen=True)
+
+
+def _parts(node) -> tuple:
+    """(the label of the node's row, its children)."""
+    if isinstance(node, Bin):
+        return node.op, (node.lhs, node.rhs)
+    if isinstance(node, Neg):
+        return None, (node.operand,)
+    if isinstance(node, Call):
+        return node.fn, node.args
+    return (node.value if isinstance(node, Num) else node.name), ()
+
+
+def _tape(tree) -> exprlang.Expr:
+    """The Expr of a tree of the dataclasses above: its rows in postorder."""
+    rows = []
+
+    def emit(node):
+        label, children = _parts(node)
+        for child in children:
+            emit(child)
+        rows.append((type(node).__name__, label, len(children)))
+    emit(tree)
+    return exprlang.Expr(tuple(rows))
+
+
 _leaf = st.one_of(
-    st.builds(Num, st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
+    st.builds(Num, st.floats(min_value=0.0, max_value=sys.float_info.max, allow_nan=False,
                              allow_infinity=False)),
     st.sampled_from([Var("t"), Var("u"), Const("pi"), Const("e")]),
 )
@@ -200,32 +235,19 @@ expr_trees = st.recursive(_leaf, _nodes, max_leaves=25)
 
 @given(tree=expr_trees)
 def test_print_parse_round_trip(tree):
-    assert parse(to_text(tree)) == tree
-
-
-# each node class as a plain dataclass, whose ==, hash and repr are generated
-_GENERATED = {cls: dataclasses.make_dataclass(
-    cls.__name__, [(f.name, f.type) for f in dataclasses.fields(cls)], frozen=True)
-    for cls in (Num, Var, Const, Neg, Bin, Call)}
-
-
-def _generated(e):
-    """e rebuilt from the plain dataclasses of _GENERATED."""
-    def convert(value):
-        if isinstance(value, tuple):
-            return tuple(map(convert, value))
-        return _generated(value) if isinstance(value, exprlang.Expr) else value
-    return _GENERATED[type(e)](*(convert(getattr(e, f.name)) for f in dataclasses.fields(e)))
+    e = _tape(tree)
+    assert parse(to_text(e)) == e
 
 
 @given(tree=expr_trees, other=expr_trees)
 def test_equality_and_repr_are_the_generated_ones(tree, other):
-    assert repr(tree) == repr(_generated(tree))
-    assert (tree == other) == (_generated(tree) == _generated(other))
-    assert (tree != other) == (_generated(tree) != _generated(other))
-    for clone in (pickle.loads(pickle.dumps(tree)), copy.deepcopy(tree), parse(to_text(tree))):
-        assert clone == tree and hash(clone) == hash(tree) and repr(clone) == repr(tree)
-    assert tree != to_text(tree)
+    e = _tape(tree)
+    assert repr(e) == repr(tree)
+    assert (e == _tape(other)) == (tree == other)
+    assert (e != _tape(other)) == (tree != other)
+    for clone in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e), parse(to_text(e))):
+        assert clone == e and hash(clone) == hash(e) and repr(clone) == repr(e)
+    assert e != to_text(e)
 
 
 
@@ -242,7 +264,7 @@ def _walk(e, env):
     elementwise domain checks ``evaluate`` promises, and no compilation."""
     def check(ok, message):
         if not np.all(ok):
-            raise ExprEvalError(message, e, exprlang._witness(env, ~np.asarray(ok)))
+            raise ExprEvalError(message, _tape(e), exprlang._witness(env, ~np.asarray(ok)))
 
     if isinstance(e, Num):
         return e.value
@@ -250,7 +272,7 @@ def _walk(e, env):
         return exprlang.CONSTANTS[e.name]
     if isinstance(e, Var):
         if env.get(e.name) is None:
-            raise ExprEvalError(f"no value supplied for variable {e.name!r}", e)
+            raise ExprEvalError(f"no value supplied for variable {e.name!r}", _tape(e))
         return env[e.name]
     if isinstance(e, Neg):
         return -_walk(e.operand, env)
@@ -286,7 +308,7 @@ def _walk_evaluate(e, t=None, u=None):
     with np.errstate(all="ignore"):
         arr = np.asarray(_walk(e, env), dtype=float)
     if not np.all(np.isfinite(arr)):
-        raise exprlang.ExprOverflowError("evaluation produced a non-finite value", e,
+        raise exprlang.ExprOverflowError("evaluation produced a non-finite value", _tape(e),
                                          exprlang._witness(env, ~np.isfinite(arr)))
     if np.ndim(t) == 0 and np.ndim(u) == 0:
         return float(arr)
@@ -301,10 +323,11 @@ _SAMPLE_U = np.array([0.0, 1.7, -2.0, 0.5, 3.0])
 def test_compiled_evaluation_matches_tree_walk(tree):
     # bit for bit, or the same error with the same witness; on arrays, on
     # scalars, and again once the compiled form is cached on the tree
+    e = _tape(tree)
     for t, u in [(_SAMPLE_T, _SAMPLE_U), *zip(_SAMPLE_T.tolist(), _SAMPLE_U.tolist())]:
         want = _outcome(lambda: _walk_evaluate(tree, t=t, u=u))
         for _ in range(2):
-            got = _outcome(lambda: evaluate(tree, t=t, u=u))
+            got = _outcome(lambda: evaluate(e, t=t, u=u))
             assert got[0] == want[0]
             if got[0] == "value":
                 assert type(got[1]) is type(want[1])
@@ -322,10 +345,11 @@ def test_broadcast_lattice_matches_meshgrid(tree):
     # sampling on (n, 1) and (1, m) axes, as the theorem checks and the
     # validation of a Problem do, gives the values or the first error with
     # its witness of sampling on the full meshgrid
+    e = _tape(tree)
     for ts, us in _LATTICES:
         tg, ug = np.meshgrid(ts, us, indexing="ij")
-        want = _outcome(lambda: evaluate(tree, t=tg, u=ug))
-        got = _outcome(lambda: evaluate(tree, t=ts[:, None], u=us[None, :]))
+        want = _outcome(lambda: evaluate(e, t=tg, u=ug))
+        got = _outcome(lambda: evaluate(e, t=ts[:, None], u=us[None, :]))
         assert got[0] == want[0]
         if got[0] == "value":
             np.testing.assert_array_equal(got[1], want[1], strict=True)
@@ -436,6 +460,14 @@ _DEEP = {
 }
 
 
+def _frames() -> int:
+    """The caller's depth in stack frames."""
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
 def _deepest(make):
     """Largest n at which parse accepts make(n)."""
     lo, hi = 1, 2 * exprlang.MAX_DEPTH
@@ -459,10 +491,21 @@ def test_nesting_past_the_limit_is_a_syntax_error(shape):
     # compares, hashes, pickles and copies
     e = parse(make(n))
     assert evaluate(e, t=0.5, u=0.25) == value(n)
-    assert to_text(parse(to_text(e))) == to_text(e) and variables_of(e) == {"u"}
-    for clone in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e)):
-        assert clone == e and hash(clone) == hash(e) and repr(clone) == repr(e)
-        assert "_compiled" not in clone.__dict__
+    # none of those but evaluating recurses: each runs within a few dozen
+    # frames of its caller, whatever the expression's height
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames() + 60)
+    try:
+        text, names, printed = to_text(e), variables_of(e), repr(e)
+        clones = (pickle.loads(pickle.dumps(e)), copy.deepcopy(e))
+        same = [(c == e, hash(c) == hash(e), repr(c) == printed) for c in clones]
+        message = str(ExprEvalError("x", e))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert to_text(parse(text)) == text and names == {"u"} and message == f"x in '{text}'"
+    assert same == [(True, True, True)] * 2
+    for clone in clones:
+        assert getattr(clone, "_compiled", None) is None
     with pytest.raises(ExprSyntaxError, match=f"nested deeper than {exprlang.MAX_DEPTH} levels"):
         parse(make(n + 1))
     for huge in (3000, 1000):

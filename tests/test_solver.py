@@ -322,7 +322,7 @@ def test_last_application_is_not_reused_on_another_partition():
 def test_kept_assembly_is_invisible():
     pb = replace(CASES["ex43"].problem)  # a new instance, with nothing kept yet
     fresh, key = pickle.dumps(pb), hash(pb)
-    assert len(fresh) == 458
+    assert len(fresh) == 410
     report = picard_solve(pb)
     # the theorem checks keep int_0^1 a, Lambda_2 and f's box extrema beside the plan
     l1, l2 = lambda1(pb), lambda2(pb, 0.5)
@@ -368,7 +368,7 @@ def test_kept_partition_is_one_object_and_invisible():
         assert clone == disc and hash(clone) == key
         assert clone.partition() is not part
     assert replace(disc, panels=64).partition().nodes.size == 65
-    assert len(pickle.dumps(pb)) == 458
+    assert len(pickle.dumps(pb)) == 410
 
 
 def _lattice_samples(monkeypatch) -> list:
@@ -402,8 +402,9 @@ def test_checked_coefficients_are_not_sampled_again(monkeypatch):
     again = _problem(a="1 + t", f="(2 + u)/3", panels=64)
     replace(first, discretization=Discretization(panels=32))
     assert len(samples) == 2
-    assert list(solver._VALIDATED) == [("1.0 + t", "(2.0 + u)/3.0")]
-    # the kept texts are strings only: no expression outlives its problem
+    assert list(solver._VALIDATED) == [(parse("1 + t", variables=("t",)).rows,
+                                        parse("(2 + u)/3").rows)]
+    # the kept rows are plain tuples: no expression outlives its problem
     refs = [weakref.ref(x) for x in (first, first.a, first.f, again.a)]
     del first, again, samples[:]
     gc.collect()
@@ -429,8 +430,8 @@ def test_checked_coefficients_are_bounded(monkeypatch):
         _problem(f=f"u + {k}")
     kept = list(solver._VALIDATED)
     assert len(kept) == solver.VALIDATED_MAX
-    assert kept[0] == ("1.0", "u + 3.0")
-    assert kept[-1] == ("1.0", f"u + {solver.VALIDATED_MAX + 2.0}")
+    assert kept[0] == (parse("1").rows, parse("u + 3").rows)
+    assert kept[-1] == (parse("1").rows, parse(f"u + {solver.VALIDATED_MAX + 2}").rows)
 
 
 def test_operator_samples_density_once():
