@@ -1,21 +1,23 @@
 """Arithmetic expression language for problem coefficients.
 
 Problem files carry the coefficient a(t) and the nonlinearity f(t, u) as
-text.  The grammar is conventional infix arithmetic:
+text, in infix arithmetic whose grammar is one table of precedences, where
+a higher one binds tighter (``_BINARY``):
 
-    expr   := term (('+' | '-') term)*
-    term   := factor (('*' | '/') factor)*
-    factor := '-' factor | base ('^' factor)?
-    base   := NUMBER | IDENT | IDENT '(' expr (',' expr)* ')' | '(' expr ')'
+    + -  1, left     * /  2, left     prefix -  3     ^  4, right
 
-'^' is right-associative, and a leading minus applies to the whole power:
--x^2 parses as -(x^2).  The only variables are t and u; pi and e are
-built-in constants, and e^t is written exp(t).  A number must be finite as
-a double, and nesting deeper than MAX_DEPTH levels is a syntax error.
+An operand is a number, a variable, a constant, fn(expr, ...) or (expr),
+and a prefix minus may stand before any operand: -x^2 parses as -(x^2),
+-x*y as (-x)*y and 2^-3*4 as (2^(-3))*4.  The only variables are t and u;
+pi and e are built-in constants, and e^t is written exp(t).  A number must
+be finite as a double, and not round to 0 unless it is 0; nesting deeper
+than MAX_DEPTH levels is a syntax error.
 
 An expression is one tape: its nodes as rows in postorder (see
 :class:`Expr`).  The parser emits the rows, and comparing, printing,
-compiling and the rest read them in order, on a stack of their own.
+compiling and the rest read them in order, on a stack of their own.  An
+expression's repr is its canonical text (:func:`to_text`), as
+``Expr('...')``.
 
 Evaluation is array-aware (scalars or numpy arrays for t and u) and total
 on valid domains: log of a nonpositive value, square root of a negative,
@@ -91,8 +93,9 @@ class Expr:
 
     The rows are ("Num", value, 0), ("Var", name, 0), ("Const", name, 0),
     ("Neg", None, 1), ("Bin", op, 2) and ("Call", fn, arity).  They
-    determine the tree, so equality and hashing compare them, and repr
-    writes the tree as dataclasses of those names and fields would.
+    determine the tree, so equality and hashing compare them.  repr is
+    ``Expr('<text>')`` with the canonical text of :func:`to_text`, which
+    parses back to an equal Expr.
 
     :func:`evaluate` keeps the compiled form of the expression it evaluates
     as ``_compiled``.  Equality, hashing and repr ignore it, and pickling
@@ -118,7 +121,7 @@ class Expr:
         return hash(self.rows)
 
     def __repr__(self):
-        return _fold(self.rows, _node_repr)
+        return f"Expr({to_text(self)!r})"
 
     def __reduce__(self):  # the rows alone: the compiled form stays out
         return Expr, (self.rows,)
@@ -133,20 +136,6 @@ def _fold(rows: tuple, join):
         del stack[len(stack) - count:]
         stack.append(join(kind, label, children))
     return stack[0]
-
-
-# Each kind's fields, as the dataclass of its name would list them.
-_FIELDS = {"Num": ("value",), "Var": ("name",), "Const": ("name",), "Neg": ("operand",),
-           "Bin": ("op", "lhs", "rhs"), "Call": ("fn", "args")}
-
-
-def _node_repr(kind: str, label, children: list) -> str:
-    """A node's repr as its dataclass would write it, from its children's."""
-    if kind == "Call":  # its arguments are a tuple
-        children = [f"({', '.join(children)}{',' * (len(children) == 1)})"]
-    values = children if kind == "Neg" else [repr(label), *children]
-    pairs = ", ".join(f"{name}={value}" for name, value in zip(_FIELDS[kind], values))
-    return f"{kind}({pairs})"
 
 
 def _subexpr(rows: tuple, end: int) -> Expr:
@@ -192,11 +181,22 @@ def _level(level: int, offset: int) -> int:
     return level
 
 
+# The grammar: each binary operator's precedence and the least precedence
+# of an operator in its right operand, which is the operator's own for the
+# right-associative '^'.  A prefix minus has precedence _NEG, and an operand
+# that needs no parentheses anywhere _ATOM.
+_BINARY = {"+": (1, 2), "-": (1, 2), "*": (2, 3), "/": (2, 3), "^": (4, 4)}
+_NEG, _ATOM = 3, 5
+
+
 class _Parser:
-    """Recursive descent that emits each node's row once its children's
-    rows are in, which is postorder.  Each method takes its depth in the
-    parser's calls and returns the height of the node it emitted: MAX_DEPTH
-    bounds both."""
+    """Precedence climbing (Pratt 1973) that emits each node's row once its
+    children's rows are in, which is postorder.  Each method takes its depth
+    in the parser's calls and returns the height of the node it emitted:
+    MAX_DEPTH bounds both.  A level of parentheses costs two calls and a
+    function call three, against four and five when the grammar took a
+    method per precedence level, so input nested too deep for that parser
+    may parse."""
 
     def __init__(self, tokens, variables):
         self.tokens = tokens
@@ -225,33 +225,19 @@ class _Parser:
         self.rows.append((kind, label, count))
         return _level(height, offset)
 
-    def parse_expr(self, depth: int) -> int:
-        height = self.parse_term(depth + 1)
-        while self.current[0] in ("+", "-"):
-            op, _, offset = self.advance()
-            rhs = self.parse_term(depth + 1)
-            height = self.emit("Bin", op, 2, 1 + max(height, rhs), offset)
-        return height
-
-    def parse_term(self, depth: int) -> int:
-        height = self.parse_factor(depth + 1)
-        while self.current[0] in ("*", "/"):
-            op, _, offset = self.advance()
-            rhs = self.parse_factor(depth + 1)
-            height = self.emit("Bin", op, 2, 1 + max(height, rhs), offset)
-        return height
-
-    def parse_factor(self, depth: int) -> int:
-        offset = self.current[2]
+    def parse_expr(self, depth: int, least: int = 1) -> int:
+        """An operand, then every binary operator of precedence least or more."""
+        kind, _, offset = self.current
         _level(depth, offset)  # every recursion of the parser passes through here
-        if self.current[0] == "-":
+        if kind == "-":
             self.advance()
-            return self.emit("Neg", None, 1, 1 + self.parse_factor(depth + 1), offset)
-        height = self.parse_base(depth + 1)
-        if self.current[0] == "^":
-            offset = self.advance()[2]
-            rhs = self.parse_factor(depth + 1)
-            height = self.emit("Bin", "^", 2, 1 + max(height, rhs), offset)
+            height = self.emit("Neg", None, 1, 1 + self.parse_expr(depth + 1, _NEG + 1), offset)
+        else:
+            height = self.parse_base(depth + 1)
+        while _BINARY.get(self.current[0], (0,))[0] >= least:
+            op, _, offset = self.advance()
+            rhs = self.parse_expr(depth + 1, _BINARY[op][1])
+            height = self.emit("Bin", op, 2, 1 + max(height, rhs), offset)
         return height
 
     def parse_base(self, depth: int) -> int:
@@ -259,7 +245,8 @@ class _Parser:
         if kind == "num":
             self.advance()
             value = float(text)
-            if not math.isfinite(value):
+            # inf would print as 'inf', and a nonzero value rounded to 0 as '0.0'
+            if not math.isfinite(value) or not value and text.lower().split("e")[0].strip("0."):
                 raise ExprSyntaxError(f"number {text!r} is out of range", offset)
             return self.emit("Num", value, 0, 1, offset)
         if kind == "ident":
@@ -518,10 +505,6 @@ def _evaluate(e: Expr, t, u):
     return arr if arr.shape == shape else np.broadcast_to(arr, shape)
 
 
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-_PREC = {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL, "^": _PREC_POW}
-
-
 def _wrap(text: str, needs: bool) -> str:
     return f"({text})" if needs else text
 
@@ -530,19 +513,16 @@ def _node_text(kind: str, label, children: list) -> tuple:
     """A node's canonical text and precedence, from its children's."""
     if kind == "Neg":
         (text, prec), = children
-        return "-" + _wrap(text, prec < _PREC_NEG), _PREC_NEG
+        return "-" + _wrap(text, prec < _NEG), _NEG
     if kind == "Call":
-        return f"{label}({', '.join(text for text, _ in children)})", _PREC_ATOM
+        return f"{label}({', '.join(text for text, _ in children)})", _ATOM
     if kind == "Bin":
-        p = _PREC[label]
+        p, right = _BINARY[label]
         (lhs, lhs_prec), (rhs, rhs_prec) = children
-        if label == "^":
-            # right-associative: the left operand must bind strictly tighter
-            lhs, rhs = _wrap(lhs, lhs_prec <= p), _wrap(rhs, rhs_prec < p)
-        else:
-            lhs, rhs = _wrap(lhs, lhs_prec < p), _wrap(rhs, rhs_prec <= p)
-        return (f"{lhs} {label} {rhs}" if p == _PREC_ADD else f"{lhs}{label}{rhs}"), p
-    return (repr(label) if kind == "Num" else label), _PREC_ATOM
+        # the left operand of a right-associative operator binds strictly tighter
+        lhs, rhs = _wrap(lhs, lhs_prec < p + (right == p)), _wrap(rhs, rhs_prec < right)
+        return (f"{lhs} {label} {rhs}" if p == 1 else f"{lhs}{label}{rhs}"), p
+    return (repr(label) if kind == "Num" else label), _ATOM
 
 
 def to_text(e: Expr) -> str:

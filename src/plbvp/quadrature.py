@@ -173,9 +173,12 @@ def integrate(f, lo: float, hi: float, panels: int = DEFAULT_PANELS,
     return float(w @ _sample(f, x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Strictly increasing nodes from 0 to 1 defining the panel structure."""
+    """Strictly increasing nodes from 0 to 1 defining the panel structure.
+
+    Partitions with equal nodes are equal, and hash alike.
+    """
 
     nodes: np.ndarray
 
@@ -193,6 +196,14 @@ class Partition:
         nodes = nodes.copy()
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or np.array_equal(self.nodes, other.nodes)
+
+    def __hash__(self):  # a float's hash, unlike its bytes, agrees with ==: -0.0 == 0.0
+        return hash(tuple(self.nodes.tolist()))
 
     @staticmethod
     def graded(panels: int = DEFAULT_PANELS, grading: float = 2.0) -> "Partition":
@@ -323,7 +334,7 @@ class FixedPoints:
         return self.hermite(F, _pchip_slopes(m, weights), m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
     """Values on a partition, interpolated by the shape-preserving piecewise
     cubic (PCHIP).
@@ -332,7 +343,8 @@ class GridFunction:
     between 0 and 3 times the secants beside it (Fritsch and Carlson 1980):
     its extrema lie at the nodes, and nonnegative data stay nonnegative, as
     the p-Laplacian inverse of a cumulative integral of a nonnegative
-    density expects.  Instances are immutable and safe to share.
+    density expects.  Instances are immutable and safe to share, and equal
+    where their partitions and values are.
     """
 
     partition: Partition
@@ -352,6 +364,14 @@ class GridFunction:
         values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.partition == other.partition and np.array_equal(self.values, other.values)
+
+    def __hash__(self):
+        return hash((self.partition, tuple(self.values.tolist())))
 
     @staticmethod
     def constant(partition: Partition, value: float) -> "GridFunction":

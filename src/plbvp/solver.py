@@ -34,17 +34,6 @@ verification of a solve's own solution applies the operator no more.
 
 :func:`picard_solve` keeps its Anderson history in two fixed arrays of
 MEMORY columns, shifted one column per step, so that a step stacks nothing.
-
-A level of a refinement (load, solve, verify) pays for its build's pow
-calls and its applications; the rest is fixed cost that each level pays
-again.  Per pass of the benchmark's refine workload (11 levels, 64 to 512
-panels, one BLAS thread on a shared two-core Xeon), the build's setup, the
-placement of its sample points, its passes besides pow, the Picard
-bookkeeping with lstsq and verify took 0.94, 0.34, 3.29, 2.87 and 1.16 ms
-while every build searched for its points' panels and subtracted by
-broadcasting, and take 0.61, 0.21, 2.57, 2.29 and 1.08 ms, beside 3.9 ms
-of pow.  An application costs 4 to 8 matvecs at 128 panels and 1.6 to 2.1
-at 512, as before (README, numerical notes).
 """
 
 import math
@@ -248,8 +237,7 @@ class Problem:
         (the same object, or equal nodes)."""
         kept = self.__dict__.setdefault("_kept", {})
         plan = kept.get("plan")
-        if plan is None or not (plan[0] is partition or np.array_equal(
-                plan[0].nodes, partition.nodes)):
+        if plan is None or plan[0] != partition:
             rule = KernelAssembly(self.kernel_params, partition,
                                   self.discretization.points_per_panel)
             plan = kept["plan"] = (partition, rule,
@@ -350,7 +338,7 @@ class KernelAssembly:
     STORE_ENTRIES entries.  The build raises only positive distances to
     beta - 1 and writes the zeros directly.  The rule also places its sample
     points on the partition once (:class:`plbvp.quadrature.FixedPoints`),
-    taking each point's panel from its cell, so that :meth:`integrand`
+    taking each point's panel from its cell, so that :meth:`_integrand`
     samples the running integral of a nodal density without a search.  A
     :class:`Problem` builds one rule per partition and reuses it.
     """
@@ -439,19 +427,15 @@ class KernelAssembly:
         self._at_points = FixedPoints(nodes, self._points, np.concatenate(
             [np.repeat(cell_panel, m), np.repeat(cell_panel[tail], m)]))
 
-    def integrand(self, q: float, h: np.ndarray) -> np.ndarray:
+    def _integrand(self, q: float, h: np.ndarray) -> np.ndarray:
         """phi_q(F) at the sample points, where F(s) = int_0^s of the PCHIP
         of the nodal values h: ``apply_to(lambda s: phi(q, F(s)))`` with
         ``F = cumulative(h)``, bit for bit, from the cells and offsets of the
         points fixed at construction.  F's secants are taken once, for both
         its PCHIP slopes and its cubics, and phi_q is applied without
         checking q again.  An F or a phi_q(F) that overflows, though h is
-        finite, raises :class:`QuadratureError`."""
-        with np.errstate(**_QUIET):
-            return self._integrand(q, h)
-
-    def _integrand(self, q: float, h: np.ndarray) -> np.ndarray:
-        """:meth:`integrand` in the error state _QUIET, set by the caller."""
+        finite, raises :class:`QuadratureError`.  The caller sets numpy's
+        error state _QUIET."""
         F = self._at_points.running_integral(h)
         g = _phi(q, F)  # not finite wherever F is not
         if not np.isfinite(g).all():
@@ -483,7 +467,7 @@ class KernelAssembly:
         partition node.
 
         Here and in :meth:`_integrals`, g is a callable on arrays or the
-        array of its samples that :meth:`integrand` returns."""
+        array of its samples that :meth:`_integrand` returns."""
         return _kernel_values(self._integrals(g))
 
 
@@ -511,7 +495,9 @@ def kernel_route(kp: KernelParams, q: float, h: GridFunction,
     partition nodes of h.
     """
     rule = KernelAssembly(kp, h.partition, points)
-    return h.with_values(rule.apply_to(rule.integrand(q, h.values)))
+    with np.errstate(**_QUIET):
+        g = rule._integrand(q, h.values)
+    return h.with_values(rule.apply_to(g))
 
 
 def apply_operator(pb: Problem, u: GridFunction) -> GridFunction:

@@ -69,14 +69,20 @@ def test_unexpected_character():
 
 @pytest.mark.parametrize("text, offset", [("1e400", 0), ("1 + 1/1e400", 6),
                                           ("min(1e400, 1 + u)", 4),
-                                          ("1.7976931348623159e308*u", 0)])
+                                          ("1.7976931348623159e308*u", 0),
+                                          ("1e-400", 0), ("2e-324", 0), ("1/1e-400 + u", 2),
+                                          ("u*0.00E-9 + 10e-999", 12)])
 def test_number_out_of_range(text, offset):
-    # a literal that rounds to inf would print as 'inf', which does not parse
+    # a literal that rounds to inf would print as 'inf', which does not parse,
+    # and a nonzero one that rounds to 0 as '0.0', a value it does not have
     with pytest.raises(ExprSyntaxError, match="out of range") as err:
         parse(text)
     assert err.value.offset == offset
     largest = parse("1.7976931348623157e308")
     assert parse(to_text(largest)) == largest
+    for zero in ("0e5", ".0e-999", "0", "00.000e-7"):
+        assert parse(zero).rows == (("Num", 0.0, 0),)
+    assert parse("1e-320").rows == (("Num", 1e-320, 0),)  # subnormal, not 0
 
 
 def test_eval_constants():
@@ -96,6 +102,35 @@ def test_unary_minus_binds_whole_power():
 
 def test_power_right_associative():
     assert evaluate(parse("2^3^2")) == pytest.approx(512.0)
+
+
+def _var(name):
+    return ("Var", name, 0)
+
+
+def _bin(op):
+    return ("Bin", op, 2)
+
+
+_NEG_ROW = ("Neg", None, 1)
+
+
+@pytest.mark.parametrize("text, rows", [
+    ("a-b-c", (_var("a"), _var("b"), _bin("-"), _var("c"), _bin("-"))),
+    ("a/b*c", (_var("a"), _var("b"), _bin("/"), _var("c"), _bin("*"))),
+    ("a^b^c", (_var("a"), _var("b"), _var("c"), _bin("^"), _bin("^"))),
+    ("-a^b", (_var("a"), _var("b"), _bin("^"), _NEG_ROW)),
+    ("-a*b", (_var("a"), _NEG_ROW, _var("b"), _bin("*"))),
+    ("a*-b", (_var("a"), _var("b"), _NEG_ROW, _bin("*"))),
+    ("2^-3*4", (("Num", 2.0, 0), ("Num", 3.0, 0), _NEG_ROW, _bin("^"), ("Num", 4.0, 0),
+                _bin("*"))),
+    ("--a", (_var("a"), _NEG_ROW, _NEG_ROW)),
+    ("a^-b^c", (_var("a"), _var("b"), _var("c"), _bin("^"), _NEG_ROW, _bin("^"))),
+])
+def test_precedence_and_associativity_rows(text, rows):
+    e = parse(text, variables=("a", "b", "c"))
+    assert e.rows == rows
+    assert parse(to_text(e), variables=("a", "b", "c")) == e
 
 
 def test_negative_exponent():
@@ -176,8 +211,8 @@ def test_round_trip_sample_strings():
         assert parse(to_text(tree)) == tree
 
 
-# the node kinds of exprlang.Expr as plain dataclasses, whose ==, hash and
-# repr are generated
+# the node kinds of exprlang.Expr as plain dataclasses, whose == and hash
+# are generated
 Num = dataclasses.make_dataclass("Num", [("value", float)], frozen=True)
 Var = dataclasses.make_dataclass("Var", [("name", str)], frozen=True)
 Const = dataclasses.make_dataclass("Const", [("name", str)], frozen=True)
@@ -242,7 +277,7 @@ def test_print_parse_round_trip(tree):
 @given(tree=expr_trees, other=expr_trees)
 def test_equality_and_repr_are_the_generated_ones(tree, other):
     e = _tape(tree)
-    assert repr(e) == repr(tree)
+    assert repr(e) == f"Expr({to_text(e)!r})"
     assert (e == _tape(other)) == (tree == other)
     assert (e != _tape(other)) == (tree != other)
     for clone in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e), parse(to_text(e))):
@@ -485,7 +520,7 @@ def _deepest(make):
 def test_nesting_past_the_limit_is_a_syntax_error(shape):
     make, value = _DEEP[shape]
     n = _deepest(make)
-    # the parser spends up to five calls on a level of parentheses or calls
+    # the parser spends up to three calls on a level of parentheses or calls
     assert (exprlang.MAX_DEPTH - 5) // 5 <= n <= exprlang.MAX_DEPTH
     # the deepest accepted expression compiles, evaluates and prints, and it
     # compares, hashes, pickles and copies

@@ -225,6 +225,29 @@ def test_grid_function_validation():
     assert g(0.5) == pytest.approx(0.25, abs=1e-3)
 
 
+def test_partition_and_grid_function_compare_by_value():
+    part = Partition.graded(8)
+    same = Partition(part.nodes.copy())
+    nodes = part.nodes.copy()
+    nodes[0] = -0.0  # equal to 0.0, with other bytes
+    signed = Partition(nodes)
+    other = Partition.graded(8, 1.5)
+    for p in (same, signed):
+        assert p == part and not p != part and hash(p) == hash(part)
+    assert part != other and not part == other and part != Partition.graded(9)
+    assert part != tuple(part.nodes) and part in {same} and signed in {part: 1}
+    assert other not in {part, same, signed}
+    g = GridFunction(part, part.nodes ** 2)
+    twins = (GridFunction(same, part.nodes ** 2), GridFunction(signed, signed.nodes ** 2))
+    for twin in twins:
+        assert twin == g and not twin != g and hash(twin) == hash(g)
+    assert g in set(twins) and g != part
+    assert g != GridFunction(other, part.nodes ** 2) and g != g.with_values(part.nodes)
+    assert GridFunction(part, np.zeros(9)) == GridFunction(part, -np.zeros(9))
+    assert hash(GridFunction(part, np.zeros(9))) == hash(GridFunction(part, -np.zeros(9)))
+    assert GridFunction(part, np.zeros(9)) not in {g}
+
+
 def test_grid_function_immutable():
     part = Partition.graded(8)
     g = GridFunction(part, np.ones(9))
